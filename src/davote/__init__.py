@@ -59,8 +59,6 @@ from .plurality import (
 from .recognizer import (
     b_set,
     b_set_family,
-    bipartite_column_matching,
-    count_column_matchings,
     lu_counts,
     recognize_correspondence,
     recognize_form,
@@ -118,10 +116,8 @@ __all__ = [
     "argmax_set",
     "b_set",
     "b_set_family",
-    "bipartite_column_matching",
     "correspondence_rows_distinct",
     "correspondence_rows_distinct_direct",
-    "count_column_matchings",
     "count_intervals",
     "default_names",
     "differentiating_set",

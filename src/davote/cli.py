@@ -28,7 +28,7 @@ from .distinctness import (
 )
 from .oracle import DEFAULT_LABELING_CAP, DEFAULT_MAX_CELLS, oracle_recognize
 from .plurality import recognize_plurality_form
-from .recognizer import DEFAULT_ORACLE_CELLS, recognize_tableau
+from .recognizer import recognize_tableau
 from .results import ACCEPTED, REJECTED, UNDECIDED
 from .special import NTableau, generate_n_tableau, n_tableau_as_grid, permute_axes
 from .tableau_io import _format_json, dumps_result, dumps_tableau, load_tableau
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("recognize", help="decide whether a tableau file is "
                        "distributed approval and recover its labeling")
     s.add_argument("file")
-    s.add_argument("--oracle-cells", type=int, default=DEFAULT_ORACLE_CELLS,
+    s.add_argument("--oracle-cells", type=int, default=DEFAULT_MAX_CELLS,
                    help="cell budget for the exhaustive fallback")
     _add_output(s)
     s.set_defaults(func=_cmd_recognize)

@@ -39,11 +39,14 @@ __all__ = [
     "enumerate_strategies",
     "strategy_count",
     "argmax_set",
+    "winner_row",
+    "winner_table",
     "generate_correspondence",
     "generate_form",
     "enumerate_all_forms",
     "signature_of_strategy",
     "row_signature",
+    "winner_counts",
     "infer_parameters",
     "labeling_generates",
     "permute_tableau",
@@ -123,8 +126,27 @@ def argmax_set(z: Strategy) -> CandidateSet:
     return frozenset(i for i, v in enumerate(z) if v == top)
 
 
-def _vec_add(x: Strategy, y: Strategy) -> Strategy:
-    return tuple(a + b for a, b in zip(x, y))
+def winner_row(x: Strategy, ys) -> tuple[CandidateSet, ...]:
+    """Winner sets of x + y for each opponent strategy y in `ys`, in order."""
+    return tuple(argmax_set(tuple(a + b for a, b in zip(x, y))) for y in ys)
+
+
+def winner_table(
+    p: int, alpha: int, beta: int
+) -> tuple[list[Strategy], list[Strategy], list[tuple[CandidateSet, ...]]]:
+    """Row strategies, column strategies and the winner set of every pair.
+
+    `rows[i][j]` is the winner set of ``xs[i] + ys[j]``, the cell (i, j)
+    of the generated correspondence.  Equal sets are one shared object,
+    so the table holds at most ``2**p - 1`` distinct sets.
+    """
+    xs = enumerate_strategies(p, alpha)
+    ys = enumerate_strategies(p, beta)
+    interned: dict[CandidateSet, CandidateSet] = {}
+    rows = [
+        tuple(interned.setdefault(am, am) for am in winner_row(x, ys)) for x in xs
+    ]
+    return xs, ys, rows
 
 
 @dataclass(frozen=True)
@@ -223,12 +245,8 @@ def generate_correspondence(p: int, alpha: int, beta: int) -> Correspondence:
     summed strategies.
     """
     _check_params(p, alpha, beta)
-    xs = enumerate_strategies(p, alpha)
-    ys = enumerate_strategies(p, beta)
-    cells = tuple(
-        tuple(argmax_set(_vec_add(x, y)) for y in ys) for x in xs
-    )
-    return Correspondence(candidates=p, cells=cells)
+    _, _, rows = winner_table(p, alpha, beta)
+    return Correspondence(candidates=p, cells=tuple(rows))
 
 
 def generate_form(p: int, alpha: int, beta: int, tie_rule: str = "min-index") -> Form:
@@ -283,11 +301,7 @@ def signature_of_strategy(x: Strategy, p: int, beta: int) -> Signature:
     _check_params(p, beta)
     if len(x) != p or sum(x) < 1 or any(v < 0 for v in x):
         raise ParameterError(f"{x!r} is not a valid strategy over {p} candidates")
-    counts = [0] * p
-    for y in enumerate_strategies(p, beta):
-        for a in argmax_set(_vec_add(x, y)):
-            counts[a] += 1
-    return tuple(counts)
+    return winner_counts(winner_row(x, enumerate_strategies(p, beta)), p)
 
 
 def row_signature(h: Correspondence | Form, i: int) -> Signature:
@@ -297,8 +311,13 @@ def row_signature(h: Correspondence | Form, i: int) -> Signature:
     form, so a form row's counts sum to the row length while a
     correspondence row's sum exceeds it by the number of tied entries.
     """
-    counts = [0] * h.candidates
-    for cell in h.cells[i]:
+    return winner_counts(h.cells[i], h.candidates)
+
+
+def winner_counts(cells, p: int) -> Signature:
+    """Per-candidate number of `cells` it wins; cells are winner sets or single winners."""
+    counts = [0] * p
+    for cell in cells:
         if isinstance(cell, frozenset):
             for a in cell:
                 counts[a] += 1
@@ -342,15 +361,13 @@ def labeling_generates(t: Correspondence | Form, labeling: Labeling) -> bool:
     if len(labeling.row_labels) != t.rows or len(labeling.col_labels) != t.cols:
         return False
     is_corr = isinstance(t, Correspondence)
-    for i, x in enumerate(labeling.row_labels):
-        row = t.cells[i]
-        for j, y in enumerate(labeling.col_labels):
-            am = argmax_set(_vec_add(x, y))
-            if is_corr:
-                if row[j] != am:
-                    return False
-            elif row[j] not in am:
+    for row, x in zip(t.cells, labeling.row_labels):
+        ams = winner_row(x, labeling.col_labels)
+        if is_corr:
+            if any(cell != am for cell, am in zip(row, ams)):
                 return False
+        elif any(cell not in am for cell, am in zip(row, ams)):
+            return False
     return True
 
 

@@ -20,6 +20,9 @@ from .core import (
     argmax_set,
     enumerate_strategies,
     generate_correspondence,
+    strategy_count,
+    winner_row,
+    winner_table,
 )
 
 __all__ = [
@@ -37,19 +40,16 @@ __all__ = [
 DEFAULT_MAX_EVALS = 1_000_000
 
 
-def _add(x: Strategy, y: Strategy) -> Strategy:
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def differentiating_set(x: Strategy, xp: Strategy, p: int, beta: int) -> list[Strategy]:
     """Column strategies whose winner sets under x and xp are disjoint."""
     if len(x) != p or len(xp) != p:
         raise ParameterError("strategies must have one entry per candidate")
-    out = []
-    for y in enumerate_strategies(p, beta):
-        if argmax_set(_add(x, y)).isdisjoint(argmax_set(_add(xp, y))):
-            out.append(y)
-    return out
+    ys = enumerate_strategies(p, beta)
+    return [
+        y
+        for y, am, am_p in zip(ys, winner_row(x, ys), winner_row(xp, ys))
+        if am.isdisjoint(am_p)
+    ]
 
 
 def correspondence_rows_distinct(p: int, alpha: int, beta: int) -> bool:
@@ -153,25 +153,22 @@ def all_forms_rows_distinct_direct(
     the cost.  `max_evals` bounds the number of cell evaluations
     (roughly pairs times columns); exceeding it raises `SizeGuardError`.
     """
-    xs = enumerate_strategies(p, alpha)
-    ys = enumerate_strategies(p, beta)
-    k = len(xs)
+    k = strategy_count(p, alpha)
+    n_cols = strategy_count(p, beta)
     pair_bound = k * p * p if neighbors_only else k * k
-    if pair_bound * len(ys) > max_evals:
+    if pair_bound * n_cols > max_evals:
         raise SizeGuardError(
             f"direct check for p={p}, alpha={alpha}, beta={beta} needs about "
-            f"{pair_bound * len(ys)} evaluations, over the budget of {max_evals}"
+            f"{pair_bound * n_cols} evaluations, over the budget of {max_evals}"
         )
-    # The argmax of x+y is reused across pairs, so cache it per (x, y).
-    am_rows = {x: [argmax_set(_add(x, y)) for y in ys] for x in xs}
+    xs, _, rows = winner_table(p, alpha, beta)
+    am_rows = dict(zip(xs, rows))
     if neighbors_only:
         pairs = _neighbor_pairs(xs, p)
     else:
         pairs = ((xs[i], xs[j]) for i in range(k) for j in range(i + 1, k))
     for x, xp in pairs:
-        row = am_rows[x]
-        row_p = am_rows[xp]
-        if not any(row[t].isdisjoint(row_p[t]) for t in range(len(ys))):
+        if not any(am.isdisjoint(am_p) for am, am_p in zip(am_rows[x], am_rows[xp])):
             return False
     return True
 
@@ -187,21 +184,18 @@ def empty_differentiating_pairs(
     The pairs witness that some form has two identical rows; an empty
     result means every form separates every pair.
     """
-    xs = enumerate_strategies(p, alpha)
-    ys = enumerate_strategies(p, beta)
-    k = len(xs)
-    if k * k * len(ys) > max_evals:
+    k = strategy_count(p, alpha)
+    n_cols = strategy_count(p, beta)
+    if k * k * n_cols > max_evals:
         raise SizeGuardError(
             f"pair scan for p={p}, alpha={alpha}, beta={beta} needs about "
-            f"{k * k * len(ys)} evaluations, over the budget of {max_evals}"
+            f"{k * k * n_cols} evaluations, over the budget of {max_evals}"
         )
-    am_rows = {x: [argmax_set(_add(x, y)) for y in ys] for x in xs}
+    xs, _, rows = winner_table(p, alpha, beta)
     out = []
     for i in range(k):
-        row = am_rows[xs[i]]
         for j in range(i + 1, k):
-            row_p = am_rows[xs[j]]
-            if not any(row[t].isdisjoint(row_p[t]) for t in range(len(ys))):
+            if not any(am.isdisjoint(am_p) for am, am_p in zip(rows[i], rows[j])):
                 out.append((xs[i], xs[j]))
     return out
 
@@ -225,17 +219,17 @@ def neighbor_reduction_check(
 
     Returns True when no counterexample exists.
     """
-    xs = enumerate_strategies(p, alpha)
-    ys = enumerate_strategies(p, beta)
-    k = len(xs)
+    k = strategy_count(p, alpha)
+    n_cols = strategy_count(p, beta)
     # Differentiating sets are memoized per ordered pair, so the work is
-    # bounded by k^2 set computations of len(ys) evaluations each.
-    if k * k * len(ys) > max_evals:
+    # bounded by k^2 set computations of n_cols evaluations each.
+    if k * k * n_cols > max_evals:
         raise SizeGuardError(
             f"reduction check for p={p}, alpha={alpha}, beta={beta} needs about "
-            f"{k * k * len(ys)} evaluations, over the budget of {max_evals}"
+            f"{k * k * n_cols} evaluations, over the budget of {max_evals}"
         )
-    am_rows = {x: [argmax_set(_add(x, y)) for y in ys] for x in xs}
+    xs, _, rows = winner_table(p, alpha, beta)
+    am_rows = dict(zip(xs, rows))
     memo: dict[tuple[Strategy, Strategy], frozenset[int]] = {}
 
     def dset(x: Strategy, xp: Strategy) -> frozenset[int]:
@@ -244,7 +238,7 @@ def neighbor_reduction_check(
         if got is None:
             row, row_p = am_rows[x], am_rows[xp]
             got = frozenset(
-                t for t in range(len(ys)) if row[t].isdisjoint(row_p[t])
+                t for t, (am, am_p) in enumerate(zip(row, row_p)) if am.isdisjoint(am_p)
             )
             memo[key] = got
         return got

@@ -1,4 +1,4 @@
-"""Bipartite matching utilities for column-label recovery.
+"""Column-label recovery and the accept step shared by the recognizers.
 
 Left vertices are implicit indices into the adjacency list; right
 vertices are indices in ``0..n_right-1``.  Adjacency lists are scanned
@@ -8,12 +8,15 @@ deterministic for a fixed input.
 
 from __future__ import annotations
 
-from .core import Strategy, argmax_set
+from collections import Counter
+
+from .core import CandidateSet, Correspondence, Form, Labeling, Strategy, labeling_generates
+from .results import ACCEPTED, REJECTED, RecognitionResult
 
 __all__ = [
     "maximum_matching",
-    "count_perfect_matchings",
     "column_adjacency",
+    "accept_row_labels",
 ]
 
 
@@ -21,66 +24,66 @@ def maximum_matching(adjacency: list[list[int]], n_right: int) -> list[int | Non
     """Match left vertices to right ones, maximizing the matched count.
 
     Returns `match_left` with `match_left[i]` the right vertex matched
-    to left vertex i, or None.  Runs in O(V * E).
+    to left vertex i, or None.  Runs in O(V * E).  Augmenting paths are
+    searched depth first with an explicit stack, so path length is not
+    bounded by the interpreter's recursion limit.
     """
     match_left: list[int | None] = [None] * len(adjacency)
     match_right: list[int | None] = [None] * n_right
-
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in adjacency[i]:
-            if seen[j]:
+    for root in range(len(adjacency)):
+        seen = [False] * n_right
+        # One frame per left vertex on the current path, each holding its
+        # place in its own adjacency list; trying[d] is the right vertex
+        # that frame d is trying to take.
+        stack = [(root, iter(adjacency[root]))]
+        trying: list[int] = []
+        while stack:
+            for j in stack[-1][1]:
+                if not seen[j]:
+                    break
+            else:
+                stack.pop()
+                if trying:
+                    trying.pop()
                 continue
             seen[j] = True
-            if match_right[j] is None or augment(match_right[j], seen):
-                match_left[i] = j
-                match_right[j] = i
-                return True
-        return False
-
-    for i in range(len(adjacency)):
-        augment(i, [False] * n_right)
+            trying.append(j)
+            if match_right[j] is None:
+                for (left, _), right in zip(stack, trying):
+                    match_left[left] = right
+                    match_right[right] = left
+                break
+            stack.append((match_right[j], iter(adjacency[match_right[j]])))
     return match_left
 
 
 def column_adjacency(
     cells,
-    row_labels: list[Strategy],
-    ys: list[Strategy],
+    rows: list[tuple[CandidateSet, ...]],
     require_equal: bool,
 ) -> list[list[int]]:
     """Per column, the strategies able to reproduce it under fixed rows.
 
-    Candidate y fits column j when the argmax set of row_labels[i] + y
-    equals cell (i, j) for every row i (`require_equal`), or merely
-    contains the cell entry (membership, for forms).  Strategy order in
-    each list follows `ys`, keeping downstream matchings deterministic.
+    `rows[i][t]` is the winner set of row i's label plus the t-th column
+    strategy.  Candidate t fits column j when cell (i, j) equals
+    ``rows[i][t]`` for every row i (`require_equal`), or merely lies in
+    it (membership, for forms).  Each list is in increasing t, keeping
+    downstream matchings deterministic.
     """
-    n_rows = len(cells)
-    n_cols = len(cells[0])
     if require_equal:
         # Equality lets whole columns be hashed: group candidate
         # strategies by the column they generate.
         groups: dict[tuple, list[int]] = {}
-        for t, y in enumerate(ys):
-            key = tuple(
-                argmax_set(tuple(a + b for a, b in zip(x, y))) for x in row_labels
-            )
-            groups.setdefault(key, []).append(t)
-        return [
-            list(groups.get(tuple(cells[i][j] for i in range(n_rows)), []))
-            for j in range(n_cols)
-        ]
+        for t, col in enumerate(zip(*rows)):
+            groups.setdefault(col, []).append(t)
+        return [list(groups.get(col, [])) for col in zip(*cells)]
     # Membership only constrains a column through its content, so
     # duplicate columns share one scan.
     content_cols: dict[tuple, list[int]] = {}
-    for j in range(n_cols):
-        key = tuple(cells[i][j] for i in range(n_rows))
-        content_cols.setdefault(key, []).append(j)
-    adjacency = [[] for _ in range(n_cols)]
-    for t, y in enumerate(ys):
-        ams = [
-            argmax_set(tuple(a + b for a, b in zip(x, y))) for x in row_labels
-        ]
+    for j, col in enumerate(zip(*cells)):
+        content_cols.setdefault(col, []).append(j)
+    adjacency = [[] for _ in range(len(cells[0]))]
+    for t, ams in enumerate(zip(*rows)):
         for content, cols in content_cols.items():
             if all(v in am for v, am in zip(content, ams)):
                 for j in cols:
@@ -88,34 +91,40 @@ def column_adjacency(
     return adjacency
 
 
-def count_perfect_matchings(adjacency: list[list[int]], n_right: int, cap: int = 1_000_000) -> int:
-    """Number of perfect matchings, counted by backtracking up to `cap`.
+def accept_row_labels(
+    t: Correspondence | Form,
+    method: str,
+    table: tuple[list[Strategy], list[Strategy], list[tuple[CandidateSet, ...]]],
+    assignment: list[int],
+) -> RecognitionResult:
+    """Finish a recognition whose rows are labeled by strategy index.
 
-    Intended for small instances only; left side is assigned in order of
-    increasing degree (fail-first).
+    `table` is ``winner_table(p, alpha, beta)`` and `assignment[i]` the
+    index of row i's strategy in it.  The rows must use distinct
+    strategies, a perfect matching must label the columns, and the
+    labeling must regenerate `t`.
     """
-    n_left = len(adjacency)
-    if n_left != n_right:
-        return 0
-    order = sorted(range(n_left), key=lambda i: len(adjacency[i]))
-    used = [False] * n_right
-    count = 0
-
-    def walk(pos: int) -> None:
-        nonlocal count
-        if count >= cap:
-            return
-        if pos == n_left:
-            count += 1
-            return
-        i = order[pos]
-        for j in adjacency[i]:
-            if not used[j]:
-                used[j] = True
-                walk(pos + 1)
-                used[j] = False
-                if count >= cap:
-                    return
-
-    walk(0)
-    return min(count, cap)
+    xs, ys, rows = table
+    uses = Counter(assignment)
+    dup = next((xi for xi in assignment if uses[xi] > 1), None)
+    if dup is not None:
+        first, second = [i for i, xi in enumerate(assignment) if xi == dup][:2]
+        return RecognitionResult(
+            REJECTED,
+            method,
+            witness=f"rows {first} and {second} both map to strategy {xs[dup]}",
+        )
+    adjacency = column_adjacency(
+        t.cells, [rows[xi] for xi in assignment], isinstance(t, Correspondence)
+    )
+    match = maximum_matching(adjacency, len(ys))
+    if any(m is None for m in match):
+        return RecognitionResult(
+            REJECTED, method, witness="no perfect matching labels the columns"
+        )
+    labeling = Labeling(tuple(xs[xi] for xi in assignment), tuple(ys[m] for m in match))
+    if not labeling_generates(t, labeling):
+        return RecognitionResult(
+            REJECTED, method, witness="labeling fails to regenerate the input"
+        )
+    return RecognitionResult(ACCEPTED, method, labeling=labeling)

@@ -19,6 +19,8 @@ enough; anything else is reported as undecided rather than guessed.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .core import (
     CandidateSet,
     Correspondence,
@@ -27,16 +29,16 @@ from .core import (
     NoParametersError,
     ParameterError,
     Strategy,
-    argmax_set,
     enumerate_strategies,
     infer_parameters,
-    labeling_generates,
     row_signature,
-    signature_of_strategy,
     transpose_tableau,
+    winner_counts,
+    winner_row,
+    winner_table,
 )
-from .matching import column_adjacency, count_perfect_matchings, maximum_matching
-from .oracle import oracle_recognize
+from .matching import accept_row_labels
+from .oracle import DEFAULT_MAX_CELLS, oracle_recognize
 from .plurality import recognize_plurality_form
 from .results import ACCEPTED, REJECTED, UNDECIDED, RecognitionResult
 from .special import NTableau, recognize_form_2_2, recognize_n_tableau
@@ -45,15 +47,10 @@ __all__ = [
     "b_set",
     "b_set_family",
     "lu_counts",
-    "bipartite_column_matching",
-    "count_column_matchings",
     "recognize_correspondence",
     "recognize_form",
     "recognize_tableau",
-    "DEFAULT_ORACLE_CELLS",
 ]
-
-DEFAULT_ORACLE_CELLS = 64
 
 
 def b_set(x: Strategy, xp: Strategy) -> CandidateSet:
@@ -85,56 +82,25 @@ def lu_counts(x: Strategy, b: CandidateSet, p: int, beta: int) -> tuple[int, int
     Any valid row labeled `x` has its in-`b` winner count between the
     two.
     """
-    lo = hi = 0
-    for y in enumerate_strategies(p, beta):
-        am = argmax_set(tuple(a + c for a, c in zip(x, y)))
-        if am <= b:
-            lo += 1
-        if am & b:
-            hi += 1
+    return _lu_bounds(Counter(winner_row(x, enumerate_strategies(p, beta))), b)
+
+
+def _lu_bounds(winners: Counter, b: CandidateSet) -> tuple[int, int]:
+    """`lu_counts` from the multiset of a strategy's winner sets."""
+    lo = sum(n for am, n in winners.items() if am <= b)
+    hi = sum(n for am, n in winners.items() if am & b)
     return lo, hi
 
 
-def bipartite_column_matching(
-    t: Correspondence | Form, row_labels: list[Strategy] | tuple[Strategy, ...]
-) -> list[Strategy] | None:
-    """Column labels compatible with fixed row labels, or None.
-
-    An edge links column j to a candidate strategy y when y reproduces
-    the observed column under every row label (exact winner sets for
-    correspondences, membership for forms); a perfect matching in that
-    graph is searched by augmenting paths.
-    """
-    p = t.candidates
-    _, beta = infer_parameters(t.rows, t.cols, p)
-    ys = enumerate_strategies(p, beta)
-    adjacency = column_adjacency(
-        t.cells, list(row_labels), ys, require_equal=isinstance(t, Correspondence)
-    )
-    match = maximum_matching(adjacency, len(ys))
-    if any(m is None for m in match):
-        return None
-    return [ys[m] for m in match]
-
-
-def count_column_matchings(
-    t: Correspondence | Form,
-    row_labels: list[Strategy] | tuple[Strategy, ...],
-    cap: int = 1000,
-) -> int:
-    """Number of column labelings compatible with fixed row labels.
-
-    Row labelings are unique whenever recognition succeeds, so this also
-    counts the full labelings of `t`.  Counting is exhaustive; keep the
-    instance small.
-    """
-    p = t.candidates
-    _, beta = infer_parameters(t.rows, t.cols, p)
-    ys = enumerate_strategies(p, beta)
-    adjacency = column_adjacency(
-        t.cells, list(row_labels), ys, require_equal=isinstance(t, Correspondence)
-    )
-    return count_perfect_matchings(adjacency, len(ys), cap=cap)
+def _swap_labeling(res: RecognitionResult) -> RecognitionResult:
+    if res.verdict == ACCEPTED:
+        res.labeling = Labeling(
+            row_labels=res.labeling.col_labels,
+            col_labels=res.labeling.row_labels,
+        )
+    elif res.witness is not None:
+        res.witness = f"after transposing: {res.witness}"
+    return res
 
 
 def recognize_correspondence(h: Correspondence) -> RecognitionResult:
@@ -153,20 +119,12 @@ def recognize_correspondence(h: Correspondence) -> RecognitionResult:
         return RecognitionResult(REJECTED, method, witness=str(e))
 
     if h.cols < h.rows:
-        inner = recognize_correspondence(transpose_tableau(h))
-        if inner.verdict == ACCEPTED:
-            inner.labeling = Labeling(
-                row_labels=inner.labeling.col_labels,
-                col_labels=inner.labeling.row_labels,
-            )
-        elif inner.witness is not None:
-            inner.witness = f"after transposing: {inner.witness}"
-        return inner
+        return _swap_labeling(recognize_correspondence(transpose_tableau(h)))
 
-    xs = enumerate_strategies(p, alpha)
+    table = _, _, rows = winner_table(p, alpha, beta)
     sigs: dict[tuple[int, ...], list[int]] = {}
-    for xi, x in enumerate(xs):
-        sigs.setdefault(signature_of_strategy(x, p, beta), []).append(xi)
+    for xi, row in enumerate(rows):
+        sigs.setdefault(winner_counts(row, p), []).append(xi)
 
     assignment: list[int] = []
     for i in range(h.rows):
@@ -179,51 +137,19 @@ def recognize_correspondence(h: Correspondence) -> RecognitionResult:
                 f"instead of exactly one",
             )
         assignment.append(hits[0])
-    if len(set(assignment)) != len(assignment):
-        dup = next(xi for xi in assignment if assignment.count(xi) > 1)
-        rows = [i for i, xi in enumerate(assignment) if xi == dup]
-        return RecognitionResult(
-            REJECTED,
-            method,
-            witness=f"rows {rows[0]} and {rows[1]} both map to strategy {xs[dup]}",
-        )
-
-    row_labels = [xs[xi] for xi in assignment]
-    col_labels = bipartite_column_matching(h, row_labels)
-    if col_labels is None:
-        return RecognitionResult(
-            REJECTED, method, witness="no perfect matching labels the columns"
-        )
-    labeling = Labeling(tuple(row_labels), tuple(col_labels))
-    if not labeling_generates(h, labeling):
-        return RecognitionResult(
-            REJECTED, method, witness="labeling fails to regenerate the input"
-        )
-    return RecognitionResult(ACCEPTED, method, labeling=labeling)
+    return accept_row_labels(h, method, table, assignment)
 
 
 def _recognize_form_lu(g: Form, p: int, alpha: int, beta: int) -> RecognitionResult:
     """Winner-count route, valid for p >= 3 and beta >= 2*alpha."""
     method = "lu-counting"
-    xs = enumerate_strategies(p, alpha)
-    ys = enumerate_strategies(p, beta)
+    table = xs, _, rows = winner_table(p, alpha, beta)
     fam = b_set_family(p, alpha)
-
-    bounds: list[dict[CandidateSet, tuple[int, int]]] = []
-    for x in xs:
-        ams = [argmax_set(tuple(a + c for a, c in zip(x, y))) for y in ys]
-        by_b = {}
-        for b in fam:
-            lo = sum(1 for am in ams if am <= b)
-            hi = sum(1 for am in ams if am & b)
-            by_b[b] = (lo, hi)
-        bounds.append(by_b)
+    bounds = [{b: _lu_bounds(winners, b) for b in fam} for winners in map(Counter, rows)]
 
     assignment: list[int] = []
-    for i, row in enumerate(g.cells):
-        counts = [0] * p
-        for v in row:
-            counts[v] += 1
+    for i in range(g.rows):
+        counts = row_signature(g, i)
         in_b = {b: sum(counts[a] for a in b) for b in fam}
         fits = [
             xi
@@ -250,39 +176,7 @@ def _recognize_form_lu(g: Form, p: int, alpha: int, beta: int) -> RecognitionRes
                 f"strategies; impossible for a tableau in this regime",
             )
         assignment.append(fits[0])
-
-    if len(set(assignment)) != len(assignment):
-        dup = next(xi for xi in assignment if assignment.count(xi) > 1)
-        rows = [i for i, xi in enumerate(assignment) if xi == dup]
-        return RecognitionResult(
-            REJECTED,
-            method,
-            witness=f"rows {rows[0]} and {rows[1]} both map to strategy {xs[dup]}",
-        )
-
-    row_labels = [xs[xi] for xi in assignment]
-    col_labels = bipartite_column_matching(g, row_labels)
-    if col_labels is None:
-        return RecognitionResult(
-            REJECTED, method, witness="no perfect matching labels the columns"
-        )
-    labeling = Labeling(tuple(row_labels), tuple(col_labels))
-    if not labeling_generates(g, labeling):
-        return RecognitionResult(
-            REJECTED, method, witness="labeling fails to regenerate the input"
-        )
-    return RecognitionResult(ACCEPTED, method, labeling=labeling)
-
-
-def _swap_labeling(res: RecognitionResult) -> RecognitionResult:
-    if res.verdict == ACCEPTED:
-        res.labeling = Labeling(
-            row_labels=res.labeling.col_labels,
-            col_labels=res.labeling.row_labels,
-        )
-    elif res.witness is not None:
-        res.witness = f"after transposing: {res.witness}"
-    return res
+    return accept_row_labels(g, method, table, assignment)
 
 
 def _oracle_fallback(g: Form, oracle_cells: int, reason: str) -> RecognitionResult:
@@ -301,7 +195,7 @@ def _oracle_fallback(g: Form, oracle_cells: int, reason: str) -> RecognitionResu
     )
 
 
-def recognize_form(g: Form, oracle_cells: int = DEFAULT_ORACLE_CELLS) -> RecognitionResult:
+def recognize_form(g: Form, oracle_cells: int = DEFAULT_MAX_CELLS) -> RecognitionResult:
     """Decide whether a single-winner tableau is a distributed approval form.
 
     Dispatches on the inferred voting parameters:

@@ -17,14 +17,13 @@ from .core import (
     CandidateSet,
     Correspondence,
     Form,
-    Labeling,
     ParameterError,
     PlaneLabeling,
     TIE_RULES,
-    enumerate_strategies,
-    labeling_generates,
+    row_signature,
+    winner_table,
 )
-from .matching import column_adjacency, maximum_matching
+from .matching import accept_row_labels
 from .results import ACCEPTED, REJECTED, RecognitionResult
 
 __all__ = [
@@ -91,12 +90,12 @@ def recognize_form_2_2(g: Form) -> RecognitionResult:
             f"{size} x {size}, got {g.rows} x {g.cols}",
         )
     low, mid, top = count_intervals(p)
+    table = xs, _, _ = winner_table(p, 2, 2)
+    index = {x: xi for xi, x in enumerate(xs)}
 
-    row_labels: list[tuple[int, ...]] = []
-    for i, row in enumerate(g.cells):
-        counts = [0] * p
-        for v in row:
-            counts[v] += 1
+    assignment: list[int] = []
+    for i in range(size):
+        counts = list(row_signature(g, i))
         m = max(counts)
         if m in top:
             a = counts.index(m)
@@ -127,32 +126,10 @@ def recognize_form_2_2(g: Form) -> RecognitionResult:
                 method,
                 witness=f"row {i}: top count {m} falls outside every interval",
             )
-        row_labels.append(label)
-
-    if sorted(row_labels) != sorted(enumerate_strategies(p, 2)):
-        return RecognitionResult(
-            REJECTED,
-            method,
-            witness="row labels do not exhaust the two-card strategies",
-        )
-
-    ys = enumerate_strategies(p, 2)
-    adjacency = column_adjacency(g.cells, row_labels, ys, require_equal=False)
-    match = maximum_matching(adjacency, len(ys))
-    if any(m is None for m in match):
-        j = match.index(None)
-        return RecognitionResult(
-            REJECTED, method, witness=f"no column strategy fits column {j}"
-        )
-    labeling = Labeling(
-        row_labels=tuple(row_labels),
-        col_labels=tuple(ys[m] for m in match),
-    )
-    if not labeling_generates(g, labeling):
-        return RecognitionResult(
-            REJECTED, method, witness="labeling fails to regenerate the input"
-        )
-    return RecognitionResult(ACCEPTED, method, labeling=labeling)
+        assignment.append(index[label])
+    # With exactly p*(p+1)/2 rows, labels that repeat no strategy use
+    # every two-card strategy once.
+    return accept_row_labels(g, method, table, assignment)
 
 
 # In two-candidate elections a strategy is the card count z placed on

@@ -27,6 +27,39 @@ def form(p: int, rows) -> Form:
     return Form(candidates=p, cells=tuple(tuple(row) for row in rows))
 
 
+def count_perfect_matchings(adjacency: list[list[int]], n_right: int, cap: int = 1_000_000) -> int:
+    """Number of perfect matchings, counted by backtracking up to `cap`.
+
+    Intended for small instances only; left side is assigned in order of
+    increasing degree (fail-first).
+    """
+    n_left = len(adjacency)
+    if n_left != n_right:
+        return 0
+    order = sorted(range(n_left), key=lambda i: len(adjacency[i]))
+    used = [False] * n_right
+    count = 0
+
+    def walk(pos: int) -> None:
+        nonlocal count
+        if count >= cap:
+            return
+        if pos == n_left:
+            count += 1
+            return
+        i = order[pos]
+        for j in adjacency[i]:
+            if not used[j]:
+                used[j] = True
+                walk(pos + 1)
+                used[j] = False
+                if count >= cap:
+                    return
+
+    walk(0)
+    return min(count, cap)
+
+
 # Two voters, three cards each.  Rows and columns both follow the
 # reverse-lexicographic strategy order (3,0), (2,1), (1,2), (0,3); the
 # anti-diagonal carries the ties.

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import random
+import sys
+
 from davote import argmax_set, enumerate_strategies, generate_correspondence, generate_form
-from davote.matching import column_adjacency, count_perfect_matchings, maximum_matching
+from davote.core import winner_row, winner_table
+from davote.matching import column_adjacency, maximum_matching
+from conftest import count_perfect_matchings
 
 
 class TestMaximumMatching:
@@ -25,6 +30,43 @@ class TestMaximumMatching:
     def test_isolated_left_vertex(self):
         match = maximum_matching([[0], []], 2)
         assert match == [0, None]
+
+    def test_augmenting_chain_longer_than_recursion_limit(self):
+        # Left i < n-1 first takes right i; the last left vertex then
+        # shifts every earlier one along a path of n-1 edges.
+        n = sys.getrecursionlimit() + 500
+        adjacency = [[i, i + 1] for i in range(n - 1)] + [[0]]
+        assert maximum_matching(adjacency, n) == list(range(1, n)) + [0]
+
+    def test_matches_recursive_search(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n_left, n_right = rng.randint(0, 8), rng.randint(1, 8)
+            adjacency = [
+                rng.sample(range(n_right), rng.randint(0, n_right)) for _ in range(n_left)
+            ]
+            assert maximum_matching(adjacency, n_right) == _recursive_matching(adjacency, n_right)
+
+
+def _recursive_matching(adjacency, n_right):
+    """Kuhn's augmenting-path search written recursively, as reference."""
+    match_left = [None] * len(adjacency)
+    match_right = [None] * n_right
+
+    def augment(i, seen):
+        for j in adjacency[i]:
+            if seen[j]:
+                continue
+            seen[j] = True
+            if match_right[j] is None or augment(match_right[j], seen):
+                match_left[i] = j
+                match_right[j] = i
+                return True
+        return False
+
+    for i in range(len(adjacency)):
+        augment(i, [False] * n_right)
+    return match_left
 
 
 class TestCountPerfectMatchings:
@@ -63,30 +105,28 @@ def _brute_adjacency(cells, row_labels, ys, require_equal):
 class TestColumnAdjacency:
     def test_equality_mode_matches_brute_force(self):
         h = generate_correspondence(3, 2, 2)
-        xs = enumerate_strategies(3, 2)
-        ys = enumerate_strategies(3, 2)
-        got = column_adjacency(h.cells, xs, ys, require_equal=True)
+        xs, ys, rows = winner_table(3, 2, 2)
+        got = column_adjacency(h.cells, rows, require_equal=True)
         assert got == _brute_adjacency(h.cells, xs, ys, True)
 
     def test_membership_mode_matches_brute_force(self):
         g = generate_form(3, 1, 2, "max-index")
-        xs = enumerate_strategies(3, 1)
-        ys = enumerate_strategies(3, 2)
-        got = column_adjacency(g.cells, xs, ys, require_equal=False)
+        xs, ys, rows = winner_table(3, 1, 2)
+        got = column_adjacency(g.cells, rows, require_equal=False)
         assert got == _brute_adjacency(g.cells, xs, ys, False)
 
     def test_generated_correspondence_has_diagonal_edges(self):
         h = generate_correspondence(2, 3, 3)
         ys = enumerate_strategies(2, 3)
-        adjacency = column_adjacency(h.cells, enumerate_strategies(2, 3), ys, True)
+        rows = [winner_row(x, ys) for x in enumerate_strategies(2, 3)]
+        adjacency = column_adjacency(h.cells, rows, True)
         for j in range(len(ys)):
             assert j in adjacency[j]
 
     def test_duplicate_columns_share_edges(self):
         g = generate_form(3, 1, 2)
-        xs = enumerate_strategies(3, 1)
-        ys = enumerate_strategies(3, 2)
-        adjacency = column_adjacency(g.cells, xs, ys, False)
+        _, _, rows = winner_table(3, 1, 2)
+        adjacency = column_adjacency(g.cells, rows, False)
         cols = [tuple(g.cells[i][j] for i in range(g.rows)) for j in range(g.cols)]
         for j1 in range(len(cols)):
             for j2 in range(j1 + 1, len(cols)):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
@@ -23,7 +24,17 @@ from davote import (
     recognize_correspondence,
     recognize_form,
 )
+import davote.oracle
 from conftest import A, B, corr, form
+
+
+def test_oracle_builds_its_own_outcome_grid():
+    # The oracle cross-checks the polynomial recognizers, so it must not
+    # read winner sets from the table they share.
+    source = inspect.getsource(davote.oracle)
+    for name in ("winner_table", "winner_row"):
+        assert name not in source
+        assert not hasattr(davote.oracle, name)
 
 
 class TestOracleRecognize:

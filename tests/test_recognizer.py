@@ -15,7 +15,6 @@ from davote import (
     ParameterError,
     b_set,
     b_set_family,
-    count_column_matchings,
     enumerate_strategies,
     generate_correspondence,
     generate_form,
@@ -27,7 +26,9 @@ from davote import (
     recognize_form,
     recognize_tableau,
 )
-from conftest import A, B, corr, form
+from davote.core import infer_parameters, winner_row
+from davote.matching import column_adjacency
+from conftest import A, B, corr, count_perfect_matchings, form
 
 
 def shuffled(t, seed: int):
@@ -37,6 +38,15 @@ def shuffled(t, seed: int):
     rng.shuffle(row_perm)
     rng.shuffle(col_perm)
     return permute_tableau(t, row_perm, col_perm)
+
+
+def count_column_matchings(t, row_labels, cap: int = 1000) -> int:
+    """Number of column labelings compatible with fixed row labels."""
+    _, beta = infer_parameters(t.rows, t.cols, t.candidates)
+    ys = enumerate_strategies(t.candidates, beta)
+    rows = [winner_row(x, ys) for x in row_labels]
+    adjacency = column_adjacency(t.cells, rows, isinstance(t, Correspondence))
+    return count_perfect_matchings(adjacency, len(ys), cap=cap)
 
 
 class TestBSet:
@@ -289,6 +299,14 @@ class TestRecognizeFormBehavior:
         g = form(3, ((A, B, A, B, A, B, A),))
         res = recognize_form(g)
         assert res.verdict == REJECTED
+
+    def test_long_augmenting_paths_round_trip(self):
+        # Shuffled (3, 2, 50) forms need augmenting paths deeper than
+        # the interpreter's default recursion limit.
+        g = shuffled(generate_form(3, 2, 50), 0)
+        res = recognize_form(g)
+        assert (res.verdict, res.method) == (ACCEPTED, "lu-counting")
+        assert labeling_generates(g, res.labeling)
 
 
 class TestRecognizeTableau:
