@@ -32,7 +32,6 @@ from .recognizer import recognize_tableau
 from .results import ACCEPTED, REJECTED, UNDECIDED
 from .special import NTableau, generate_n_tableau, n_tableau_as_grid, permute_axes
 from .tableau_io import _format_json, dumps_result, dumps_tableau, load_tableau
-from .validation import run_grid_validation
 
 __all__ = ["main"]
 
@@ -181,13 +180,6 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if report.is_dav else EXIT_NO
 
 
-def _cmd_validate_grid(args) -> int:
-    results = run_grid_validation(pmax=args.pmax, wmax=args.wmax)
-    for r in results:
-        print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
-    return EXIT_OK if all(r.ok for r in results) else EXIT_NO
-
-
 def _cmd_shuffle(args) -> int:
     t, names = load_tableau(args.file)
     rng = random.Random(args.seed)
@@ -271,12 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="refuse inputs larger than this many cells")
     _add_output(s)
     s.set_defaults(func=_cmd_oracle)
-
-    s = sub.add_parser("validate-grid", help="run the generator invariant "
-                       "suite over a parameter grid")
-    s.add_argument("--pmax", type=int, default=4)
-    s.add_argument("--wmax", type=int, default=4)
-    s.set_defaults(func=_cmd_validate_grid)
 
     s = sub.add_parser("shuffle", help="randomly permute a tableau file "
                        "(rows/columns, or every axis)")

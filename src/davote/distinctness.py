@@ -13,13 +13,14 @@ can be cross-checked on a grid.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .core import (
     ParameterError,
     SizeGuardError,
     Strategy,
     argmax_set,
     enumerate_strategies,
-    generate_correspondence,
     strategy_count,
     winner_row,
     winner_table,
@@ -70,33 +71,19 @@ def correspondence_rows_distinct(p: int, alpha: int, beta: int) -> bool:
 
 
 def correspondence_rows_distinct_direct(p: int, alpha: int, beta: int) -> bool:
-    """Regenerate the correspondence and compare its rows pairwise."""
-    corr = generate_correspondence(p, alpha, beta)
-    seen = set()
-    for row in corr.cells:
-        if row in seen:
-            return False
-        seen.add(row)
-    return True
+    """Build the winner table and look for two equal rows."""
+    return not identical_correspondence_rows(p, alpha, beta)
 
 
 def identical_correspondence_rows(
     p: int, alpha: int, beta: int
 ) -> list[tuple[Strategy, Strategy]]:
     """Row-strategy pairs whose correspondence rows coincide."""
-    corr = generate_correspondence(p, alpha, beta)
-    xs = enumerate_strategies(p, alpha)
-    by_row: dict[tuple, list[int]] = {}
-    for i, row in enumerate(corr.cells):
-        by_row.setdefault(row, []).append(i)
-    out = []
-    for hits in by_row.values():
-        out.extend(
-            (xs[hits[i]], xs[hits[j]])
-            for i in range(len(hits))
-            for j in range(i + 1, len(hits))
-        )
-    return out
+    xs, _, rows = winner_table(p, alpha, beta)
+    by_row: dict[tuple, list[Strategy]] = {}
+    for x, row in zip(xs, rows):
+        by_row.setdefault(row, []).append(x)
+    return [pair for hits in by_row.values() for pair in combinations(hits, 2)]
 
 
 def all_forms_rows_distinct(p: int, alpha: int, beta: int) -> bool:

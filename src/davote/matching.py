@@ -16,6 +16,7 @@ from .results import ACCEPTED, REJECTED, RecognitionResult
 __all__ = [
     "maximum_matching",
     "column_adjacency",
+    "lookup_columns",
     "accept_row_labels",
 ]
 
@@ -57,38 +58,35 @@ def maximum_matching(adjacency: list[list[int]], n_right: int) -> list[int | Non
     return match_left
 
 
-def column_adjacency(
-    cells,
-    rows: list[tuple[CandidateSet, ...]],
-    require_equal: bool,
-) -> list[list[int]]:
-    """Per column, the strategies able to reproduce it under fixed rows.
+def column_adjacency(cells, rows: list[tuple[CandidateSet, ...]]) -> list[list[int]]:
+    """Per form column, the strategies able to reproduce it under fixed rows.
 
     `rows[i][t]` is the winner set of row i's label plus the t-th column
-    strategy.  Candidate t fits column j when cell (i, j) equals
-    ``rows[i][t]`` for every row i (`require_equal`), or merely lies in
-    it (membership, for forms).  Each list is in increasing t, keeping
-    downstream matchings deterministic.
+    strategy; candidate t fits column j when every cell (i, j) lies in
+    ``rows[i][t]``.  Each list is in increasing t, keeping downstream
+    matchings deterministic.  Membership only constrains a column through
+    its content, so columns with equal content share one list.
     """
-    if require_equal:
-        # Equality lets whole columns be hashed: group candidate
-        # strategies by the column they generate.
-        groups: dict[tuple, list[int]] = {}
-        for t, col in enumerate(zip(*rows)):
-            groups.setdefault(col, []).append(t)
-        return [list(groups.get(col, [])) for col in zip(*cells)]
-    # Membership only constrains a column through its content, so
-    # duplicate columns share one scan.
-    content_cols: dict[tuple, list[int]] = {}
-    for j, col in enumerate(zip(*cells)):
-        content_cols.setdefault(col, []).append(j)
-    adjacency = [[] for _ in range(len(cells[0]))]
+    fits: dict[tuple, list[int]] = {col: [] for col in zip(*cells)}
     for t, ams in enumerate(zip(*rows)):
-        for content, cols in content_cols.items():
+        for content, ts in fits.items():
             if all(v in am for v, am in zip(content, ams)):
-                for j in cols:
-                    adjacency[j].append(t)
-    return adjacency
+                ts.append(t)
+    return [fits[col] for col in zip(*cells)]
+
+
+def lookup_columns(cells, rows: list[tuple[CandidateSet, ...]]) -> list[int | None]:
+    """Label correspondence columns by their content.
+
+    Each column takes the last unused strategy that generates exactly
+    that column under the fixed rows, or None when none is left.  When
+    every column gets one, popping from the end gives what
+    augmenting-path matching returns on these disjoint groups.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for t, col in enumerate(zip(*rows)):
+        groups.setdefault(col, []).append(t)
+    return [groups[col].pop() if groups.get(col) else None for col in zip(*cells)]
 
 
 def accept_row_labels(
@@ -101,8 +99,9 @@ def accept_row_labels(
 
     `table` is ``winner_table(p, alpha, beta)`` and `assignment[i]` the
     index of row i's strategy in it.  The rows must use distinct
-    strategies, a perfect matching must label the columns, and the
-    labeling must regenerate `t`.
+    strategies, the columns must be labeled (by content lookup for a
+    correspondence, by a perfect matching for a form), and the labeling
+    must regenerate `t`.
     """
     xs, ys, rows = table
     uses = Counter(assignment)
@@ -114,10 +113,11 @@ def accept_row_labels(
             method,
             witness=f"rows {first} and {second} both map to strategy {xs[dup]}",
         )
-    adjacency = column_adjacency(
-        t.cells, [rows[xi] for xi in assignment], isinstance(t, Correspondence)
-    )
-    match = maximum_matching(adjacency, len(ys))
+    labeled = [rows[xi] for xi in assignment]
+    if isinstance(t, Correspondence):
+        match = lookup_columns(t.cells, labeled)
+    else:
+        match = maximum_matching(column_adjacency(t.cells, labeled), len(ys))
     if any(m is None for m in match):
         return RecognitionResult(
             REJECTED, method, witness="no perfect matching labels the columns"

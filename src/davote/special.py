@@ -221,27 +221,20 @@ def generate_n_tableau(
     return NTableau(weights=weights, kind=kind, cells=tuple(cells))
 
 
-def plane_signature(f: NTableau, axis: int, z: int, c: int) -> int:
-    """How often candidate `c` wins in the plane fixing `axis` at `z`."""
-    if not 0 <= axis < len(f.weights):
-        raise ParameterError(f"axis {axis} out of range")
-    if not 0 <= z <= f.weights[axis]:
-        raise ParameterError(f"plane {z} out of range on axis {axis}")
-    count = 0
-    for idx in _plane_indices(f.dims, axis, z):
-        cell = f.cells[idx]
-        if (c in cell) if f.kind == "correspondence" else (cell == c):
-            count += 1
-    return count
+def plane_signature(f: NTableau) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """How often each candidate wins in every plane, in one pass over the cells.
 
-
-def _plane_indices(dims: tuple[int, ...], axis: int, z: int):
-    ranges = [range(d) if i != axis else (z,) for i, d in enumerate(dims)]
-    for vec in product(*ranges):
-        idx = 0
-        for t, d in zip(vec, dims):
-            idx = idx * d + t
-        yield idx
+    Entry ``[axis][z]`` is the pair (wins of candidate 0, wins of
+    candidate 1) in the plane fixing `axis` at `z`.
+    """
+    counts = [[[0, 0] for _ in range(d)] for d in f.dims]
+    is_corr = f.kind == "correspondence"
+    for z, cell in zip(product(*map(range, f.dims)), f.cells):
+        winners = cell if is_corr else (cell,)
+        for planes, t in zip(counts, z):
+            for c in winners:
+                planes[t][c] += 1
+    return tuple(tuple(tuple(pair) for pair in planes) for planes in counts)
 
 
 def recognize_n_tableau(f: NTableau) -> RecognitionResult:
@@ -257,23 +250,18 @@ def recognize_n_tableau(f: NTableau) -> RecognitionResult:
     method = "two-candidate"
     sigma = sum(f.weights)
     labels: list[tuple[int, ...]] = []
-    for axis, w in enumerate(f.weights):
-        counts = [
-            (plane_signature(f, axis, z, A), -plane_signature(f, axis, z, B))
-            for z in range(w + 1)
-        ]
-        order = sorted(range(w + 1), key=lambda z: (counts[z], z))
-        axis_label = [0] * (w + 1)
+    for planes in plane_signature(f):
+        order = sorted(range(len(planes)), key=lambda z: (planes[z][A], -planes[z][B], z))
+        axis_label = [0] * len(planes)
         for rank, plane in enumerate(order):
             axis_label[plane] = rank
         labels.append(tuple(axis_label))
 
-    for z in product(*(range(w + 1) for w in f.weights)):
-        total = sum(labels[i][t] for i, t in enumerate(z))
+    is_corr = f.kind == "correspondence"
+    for z, cell in zip(product(*map(range, f.dims)), f.cells):
+        total = sum(label[t] for label, t in zip(labels, z))
         am = _threshold_cell(total, sigma)
-        cell = f.cell(z)
-        ok = (cell == am) if f.kind == "correspondence" else (cell in am)
-        if not ok:
+        if (cell != am) if is_corr else (cell not in am):
             return RecognitionResult(
                 REJECTED,
                 method,

@@ -145,18 +145,23 @@ def _from_json(data: dict):
     names = data.get("candidates")
     idx = _index_map(names)
     rows = data.get("cells")
-    if not isinstance(rows, list) or not rows:
+    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ParameterError("'cells' must be a non-empty list of rows")
 
     def one(name) -> int:
+        if not isinstance(name, str):
+            raise ParameterError(f"cell name {name!r} is not a string")
         if name not in idx:
             raise ParameterError(f"cell name {name!r} not in the candidates list")
         return idx[name]
 
+    def members(cell) -> frozenset[int]:
+        if not isinstance(cell, list):
+            raise ParameterError(f"correspondence cell {cell!r} is not a list of names")
+        return frozenset(one(n) for n in cell)
+
     if kind == "correspondence":
-        cells = tuple(
-            tuple(frozenset(one(n) for n in cell) for cell in row) for row in rows
-        )
+        cells = tuple(tuple(members(cell) for cell in row) for row in rows)
         return Correspondence(candidates=len(names), cells=cells), list(names)
     cells = tuple(tuple(one(n) for n in row) for row in rows)
     return Form(candidates=len(names), cells=cells), list(names)
@@ -164,10 +169,13 @@ def _from_json(data: dict):
 
 def _n_tableau_from_json(data: dict):
     kind = data.get("kind", "correspondence")
-    if not all(isinstance(w, int) for w in data["weights"]):
-        raise ParameterError("'weights' must be integers")
-    weights = tuple(data["weights"])
-    if "dims" in data and list(data["dims"]) != [w + 1 for w in weights]:
+    raw_weights = data["weights"]
+    if not isinstance(raw_weights, list) or not all(
+        isinstance(w, int) and not isinstance(w, bool) for w in raw_weights
+    ):
+        raise ParameterError("'weights' must be a list of integers")
+    weights = tuple(raw_weights)
+    if "dims" in data and data["dims"] != [w + 1 for w in weights]:
         raise ParameterError("'dims' disagree with 'weights'")
     raw = data.get("cells")
     if not isinstance(raw, list):

@@ -60,6 +60,14 @@ def count_perfect_matchings(adjacency: list[list[int]], n_right: int, cap: int =
     return min(count, cap)
 
 
+def equality_adjacency(cells, rows) -> list[list[int]]:
+    """Per column j, the strategies t with ``rows[i][t] == cells[i][j]`` for every row i."""
+    groups: dict[tuple, list[int]] = {}
+    for t, col in enumerate(zip(*rows)):
+        groups.setdefault(col, []).append(t)
+    return [list(groups.get(col, [])) for col in zip(*cells)]
+
+
 # Two voters, three cards each.  Rows and columns both follow the
 # reverse-lexicographic strategy order (3,0), (2,1), (1,2), (0,3); the
 # anti-diagonal carries the ties.

@@ -389,14 +389,15 @@ def test_09_n_voter_round_trip():
             assert res.verdict == ACCEPTED, (weights, kind)
             assert labels_explain(permuted, res.labeling.axis_labels)
 
+            signature = plane_signature(nt)
             for axis, w in enumerate(weights):
                 for z, zp in combinations(range(w + 1), 2):
                     same_sig = (
-                        plane_signature(nt, axis, z, A),
-                        plane_signature(nt, axis, z, B),
+                        signature[axis][z][A],
+                        signature[axis][z][B],
                     ) == (
-                        plane_signature(nt, axis, zp, A),
-                        plane_signature(nt, axis, zp, B),
+                        signature[axis][zp][A],
+                        signature[axis][zp][B],
                     )
                     same_plane = plane(nt, axis, z) == plane(nt, axis, zp)
                     assert same_sig == same_plane, (weights, kind, axis, z, zp)

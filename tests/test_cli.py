@@ -14,7 +14,6 @@ from davote.cli import main
 from davote.core import generate_correspondence, generate_form
 from davote.special import generate_n_tableau
 from davote.tableau_io import dumps_tableau, loads_tableau
-from davote.validation import CHECK_NAMES
 
 
 def run(capsys, argv):
@@ -136,6 +135,27 @@ class TestRecognize:
         code, out, err = run(capsys, ["recognize", str(tmp_path / "absent.json")])
         assert code == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"kind": "form", "candidates": ["a", "b"], "cells": [1, 2]},
+            {"kind": "correspondence", "weights": 3, "cells": ["a"]},
+            {"kind": "form", "candidates": ["a", "b"], "cells": [[["a"], "b"], ["b", "a"]]},
+            {"kind": "correspondence", "weights": [True], "cells": ["b", "ab"]},
+            {"kind": "correspondence", "candidates": ["a", "b"],
+             "cells": [["a", "b"], ["b", "a"]]},
+        ],
+        ids=["row-not-list", "weights-not-list", "form-cell-not-name",
+             "weights-bool", "corr-cell-bare-string"],
+    )
+    def test_malformed_json_is_usage_error(self, capsys, tmp_path, body):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(body))
+        code, out, err = run(capsys, ["recognize", str(path)])
+        assert code == 3
+        assert "error:" in err
+        assert "Traceback" not in err
 
 
 class TestCheckDistinct:
@@ -263,17 +283,6 @@ class TestOracle:
         assert "2-voter" in err
 
 
-class TestValidateGrid:
-    def test_small_grid_passes(self, capsys):
-        code, out, err = run(capsys, ["validate-grid", "--pmax", "3", "--wmax", "3"])
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == len(CHECK_NAMES)
-        assert all(line.startswith("PASS") for line in lines)
-        for name in CHECK_NAMES:
-            assert any(name in line for line in lines)
-
-
 class TestShuffle:
     def test_seed_determinism(self, capsys, tmp_path):
         target = tmp_path / "t.json"
@@ -332,6 +341,7 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert run(capsys, ["frobnicate"])[0] == 3
+        assert run(capsys, ["validate-grid"])[0] == 3
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_unreadable_file(self, capsys, tmp_path, fmt):

@@ -16,15 +16,17 @@ from davote import (
     Labeling,
     NoParametersError,
     ParameterError,
+    generate_correspondence,
+    generate_form,
+    permute_tableau,
+)
+from davote.core import (
     argmax_set,
     default_names,
     enumerate_all_forms,
     enumerate_strategies,
-    generate_correspondence,
-    generate_form,
     infer_parameters,
     labeling_generates,
-    permute_tableau,
     row_signature,
     signature_of_strategy,
     strategy_count,

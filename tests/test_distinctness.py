@@ -7,14 +7,15 @@ import pytest
 from davote import (
     SizeGuardError,
     all_forms_rows_distinct,
-    all_forms_rows_distinct_direct,
     correspondence_rows_distinct,
+    generate_correspondence,
+)
+from davote.core import enumerate_all_forms, enumerate_strategies
+from davote.distinctness import (
+    all_forms_rows_distinct_direct,
     correspondence_rows_distinct_direct,
     differentiating_set,
     empty_differentiating_pairs,
-    enumerate_all_forms,
-    enumerate_strategies,
-    generate_correspondence,
     identical_correspondence_rows,
     neighbor_reduction_check,
 )

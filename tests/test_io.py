@@ -11,7 +11,6 @@ from davote import (
     Form,
     NTableau,
     ParameterError,
-    default_names,
     dumps_result,
     dumps_tableau,
     generate_correspondence,
@@ -19,11 +18,12 @@ from davote import (
     generate_n_tableau,
     load_tableau,
     loads_tableau,
-    recognize_correspondence,
-    recognize_n_tableau,
-    recognize_plurality_form,
     save_tableau,
 )
+from davote.core import default_names
+from davote.plurality import recognize_plurality_form
+from davote.recognizer import recognize_correspondence
+from davote.special import recognize_n_tableau
 from conftest import A, B, form
 
 

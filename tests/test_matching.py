@@ -5,10 +5,10 @@ from __future__ import annotations
 import random
 import sys
 
-from davote import argmax_set, enumerate_strategies, generate_correspondence, generate_form
-from davote.core import winner_row, winner_table
-from davote.matching import column_adjacency, maximum_matching
-from conftest import count_perfect_matchings
+from davote import generate_correspondence, generate_form, permute_tableau
+from davote.core import Correspondence, argmax_set, enumerate_strategies, winner_row, winner_table
+from davote.matching import column_adjacency, lookup_columns, maximum_matching
+from conftest import count_perfect_matchings, equality_adjacency
 
 
 class TestMaximumMatching:
@@ -103,32 +103,60 @@ def _brute_adjacency(cells, row_labels, ys, require_equal):
 
 
 class TestColumnAdjacency:
-    def test_equality_mode_matches_brute_force(self):
-        h = generate_correspondence(3, 2, 2)
-        xs, ys, rows = winner_table(3, 2, 2)
-        got = column_adjacency(h.cells, rows, require_equal=True)
-        assert got == _brute_adjacency(h.cells, xs, ys, True)
-
     def test_membership_mode_matches_brute_force(self):
         g = generate_form(3, 1, 2, "max-index")
         xs, ys, rows = winner_table(3, 1, 2)
-        got = column_adjacency(g.cells, rows, require_equal=False)
+        got = column_adjacency(g.cells, rows)
         assert got == _brute_adjacency(g.cells, xs, ys, False)
-
-    def test_generated_correspondence_has_diagonal_edges(self):
-        h = generate_correspondence(2, 3, 3)
-        ys = enumerate_strategies(2, 3)
-        rows = [winner_row(x, ys) for x in enumerate_strategies(2, 3)]
-        adjacency = column_adjacency(h.cells, rows, True)
-        for j in range(len(ys)):
-            assert j in adjacency[j]
 
     def test_duplicate_columns_share_edges(self):
         g = generate_form(3, 1, 2)
         _, _, rows = winner_table(3, 1, 2)
-        adjacency = column_adjacency(g.cells, rows, False)
+        adjacency = column_adjacency(g.cells, rows)
         cols = [tuple(g.cells[i][j] for i in range(g.rows)) for j in range(g.cols)]
         for j1 in range(len(cols)):
             for j2 in range(j1 + 1, len(cols)):
                 if cols[j1] == cols[j2]:
                     assert adjacency[j1] == adjacency[j2]
+
+
+class TestLookupColumns:
+    def test_labels_fit_equality_brute_force(self):
+        h = generate_correspondence(3, 2, 2)
+        xs, ys, rows = winner_table(3, 2, 2)
+        brute = _brute_adjacency(h.cells, xs, ys, True)
+        labels = lookup_columns(h.cells, rows)
+        assert all(t in fits for t, fits in zip(labels, brute))
+
+    def test_generated_columns_keep_their_strategy(self):
+        h = generate_correspondence(2, 3, 3)
+        ys = enumerate_strategies(2, 3)
+        rows = [winner_row(x, ys) for x in enumerate_strategies(2, 3)]
+        assert lookup_columns(h.cells, rows) == list(range(len(ys)))
+
+    def test_agrees_with_matching_on_repeated_columns(self):
+        # beta > alpha + 2 gives repeated columns.  A perturbed cell
+        # leaves some column unlabeled either way; the partial labels
+        # may then differ, since neither is used.
+        rng = random.Random(11)
+        repeated = unlabeled = 0
+        for p, alpha, beta in [(2, 1, 4), (2, 2, 6), (3, 1, 4), (3, 2, 5), (4, 1, 4)]:
+            _, ys, rows = winner_table(p, alpha, beta)
+            for trial in range(6):
+                cells = [list(row) for row in rows]
+                if trial % 2:
+                    i, j = rng.randrange(len(cells)), rng.randrange(len(ys))
+                    cells[i][j] = frozenset({0}) if cells[i][j] != frozenset({0}) else frozenset({1})
+                rp = rng.sample(range(len(rows)), len(rows))
+                cp = rng.sample(range(len(ys)), len(ys))
+                t = permute_tableau(Correspondence(p, tuple(map(tuple, cells))), rp, cp)
+                labeled = [rows[r] for r in rp]
+                repeated += len(set(zip(*t.cells))) < t.cols
+                got = lookup_columns(t.cells, labeled)
+                want = maximum_matching(equality_adjacency(t.cells, labeled), len(ys))
+                assert (None in got) == (None in want)
+                if None in want:
+                    unlabeled += 1
+                else:
+                    assert got == want
+        assert repeated and unlabeled

@@ -14,16 +14,14 @@ from davote import (
     Correspondence,
     Form,
     SizeGuardError,
-    enumerate_all_forms,
     generate_correspondence,
     generate_form,
-    labeling_generates,
-    oracle_count_forms,
     oracle_recognize,
     permute_tableau,
-    recognize_correspondence,
-    recognize_form,
 )
+from davote.core import enumerate_all_forms, labeling_generates
+from davote.oracle import oracle_count_forms
+from davote.recognizer import recognize_correspondence, recognize_form
 import davote.oracle
 from conftest import A, B, corr, form
 

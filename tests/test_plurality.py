@@ -11,13 +11,15 @@ from davote import (
     ACCEPTED,
     REJECTED,
     Form,
-    ForbiddenWitness,
-    find_forbidden_submatrix,
     generate_correspondence,
-    greedy_assignment,
-    labeling_generates,
     oracle_recognize,
     permute_tableau,
+)
+from davote.core import labeling_generates
+from davote.plurality import (
+    ForbiddenWitness,
+    find_forbidden_submatrix,
+    greedy_assignment,
     recognize_plurality_form,
 )
 from conftest import A, B, C, form

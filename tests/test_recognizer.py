@@ -13,22 +13,22 @@ from davote import (
     Correspondence,
     Form,
     ParameterError,
-    b_set,
-    b_set_family,
-    enumerate_strategies,
     generate_correspondence,
     generate_form,
     generate_n_tableau,
-    labeling_generates,
-    lu_counts,
     permute_tableau,
-    recognize_correspondence,
-    recognize_form,
     recognize_tableau,
 )
-from davote.core import infer_parameters, winner_row
+from davote.core import enumerate_strategies, infer_parameters, labeling_generates, winner_row
+from davote.recognizer import (
+    b_set,
+    b_set_family,
+    lu_counts,
+    recognize_correspondence,
+    recognize_form,
+)
 from davote.matching import column_adjacency
-from conftest import A, B, corr, count_perfect_matchings, form
+from conftest import A, B, corr, count_perfect_matchings, equality_adjacency, form
 
 
 def shuffled(t, seed: int):
@@ -45,7 +45,10 @@ def count_column_matchings(t, row_labels, cap: int = 1000) -> int:
     _, beta = infer_parameters(t.rows, t.cols, t.candidates)
     ys = enumerate_strategies(t.candidates, beta)
     rows = [winner_row(x, ys) for x in row_labels]
-    adjacency = column_adjacency(t.cells, rows, isinstance(t, Correspondence))
+    if isinstance(t, Correspondence):
+        adjacency = equality_adjacency(t.cells, rows)
+    else:
+        adjacency = column_adjacency(t.cells, rows)
     return count_perfect_matchings(adjacency, len(ys), cap=cap)
 
 

@@ -13,19 +13,19 @@ from davote import (
     Form,
     NTableau,
     ParameterError,
-    count_intervals,
-    enumerate_strategies,
     generate_correspondence,
     generate_form,
     generate_n_tableau,
-    labeling_generates,
-    n_tableau_as_grid,
     oracle_recognize,
     permute_axes,
     permute_tableau,
+)
+from davote.core import enumerate_strategies, labeling_generates
+from davote.recognizer import recognize_correspondence, recognize_form
+from davote.special import (
+    count_intervals,
+    n_tableau_as_grid,
     plane_signature,
-    recognize_correspondence,
-    recognize_form,
     recognize_form_2_2,
     recognize_n_tableau,
 )
@@ -169,26 +169,27 @@ class TestNTableauBasics:
 class TestPlaneSignature:
     def test_majority_planes(self):
         maj = generate_n_tableau((1, 1, 1), kind="form")
-        assert plane_signature(maj, 1, 1, A) == 3
-        assert plane_signature(maj, 1, 1, B) == 1
-        assert plane_signature(maj, 0, 0, A) == 1
+        assert plane_signature(maj)[1][1][A] == 3
+        assert plane_signature(maj)[1][1][B] == 1
+        assert plane_signature(maj)[0][0][A] == 1
 
     def test_two_voter_extreme_plane(self):
         nt = generate_n_tableau((3, 3))
-        assert plane_signature(nt, 0, 3, A) == 4
-        assert plane_signature(nt, 0, 3, B) == 1
+        assert plane_signature(nt)[0][3][A] == 4
+        assert plane_signature(nt)[0][3][B] == 1
 
     def test_equal_signatures_mean_identical_planes(self):
         # Two planes of one axis that agree on both winner counts hold
         # identical cells; recognition relies on this to rank planes.
         for weights in [(2, 3), (1, 2, 2), (3, 1, 1), (4, 4)]:
             nt = generate_n_tableau(weights)
+            signature = plane_signature(nt)
             for axis, w in enumerate(weights):
                 sigs = {}
                 for z in range(w + 1):
                     key = (
-                        plane_signature(nt, axis, z, A),
-                        plane_signature(nt, axis, z, B),
+                        signature[axis][z][A],
+                        signature[axis][z][B],
                     )
                     plane = tuple(
                         nt.cells[i]
