@@ -1,13 +1,12 @@
 """
-Six ways to say yes or no
-=========================
+Five ways to say yes or no
+==========================
 
 Recognition picks its method from the parameters it infers off the grid
-shape: a counting argument when one voter holds many more cards, a
-forbidden-pattern scan in the single-card case, winner-count intervals
-in the two-card case, a reduction through the tie diagonal for two
-candidates, and an exhaustive oracle when the grid is small enough to
-brute-force.  Outside all of that it refuses to guess.  This script
+shape: per-candidate winner counts whenever every form has distinct
+rows, a forbidden-pattern scan in the single-card case, a reduction
+through the tie diagonal for two candidates, and an exhaustive oracle
+when the grid is small enough to brute-force.  Outside all of that it refuses to guess.  This script
 sends one input down each path.
 """
 
@@ -35,7 +34,8 @@ show("p=3, alpha=3, beta=1 (form)", recognize_form(generate_form(3, 3, 1)))
 # One card each: forbidden-pattern scan plus a greedy labeling.
 show("p=4, alpha=beta=1 (form)", recognize_form(generate_form(4, 1, 1)))
 
-# Two cards each: winner-count intervals per line.
+# Two cards each: rows are still always distinct, so the same counting
+# applies.
 show("p=3, alpha=beta=2 (form)", recognize_form(generate_form(3, 2, 2)))
 
 # Two candidates, odd card total: no ties anywhere, so the form behaves
@@ -46,9 +46,9 @@ show("p=2, alpha=2, beta=3 (form)", recognize_form(generate_form(2, 2, 3)))
 show("p=2, alpha=beta=2 (form)", recognize_form(generate_form(2, 2, 2)))
 
 # Large and out of every regime: undecided, with the reason attached.
-big = generate_form(3, 3, 4)
+big = generate_form(3, 3, 3)
 res = recognize_form(big)
-show("p=3, alpha=3, beta=4 (form)", res)
+show("p=3, alpha=beta=3 (form)", res)
 print(f"    refusal reason: {res.witness}")
 print()
 

@@ -2,7 +2,9 @@
 
 Exit codes are uniform across subcommands: 0 for accepted/true, 1 for
 rejected/false, 2 for undecided (out of regime and over the oracle
-guard, or a closed-vs-direct discrepancy), 3 for usage and I/O errors.
+guard, or a closed-vs-direct discrepancy), 3 for usage and I/O errors,
+4 for an internal error (a bug: one ``error: internal error: ...`` line
+on stderr instead of a traceback).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 _TIE = {"min": "min-index", "max": "max-index"}
 _KIND = {"corr": "correspondence", "form": "form"}
@@ -286,6 +289,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -105,19 +105,21 @@ def enumerate_strategies(p: int, weight: int) -> list[Strategy]:
     """
     _check_params(p, weight)
     out: list[Strategy] = []
-    partial = [0] * p
-
-    def fill(pos: int, left: int) -> None:
-        if pos == p - 1:
-            partial[pos] = left
-            out.append(tuple(partial))
-            return
-        for c in range(left, -1, -1):
-            partial[pos] = c
-            fill(pos + 1, left - c)
-
-    fill(0, weight)
-    return out
+    x = [weight] + [0] * (p - 1)
+    while True:
+        out.append(tuple(x))
+        # The next smaller vector moves one card from the last nonzero
+        # entry before the end, together with every card behind it, to
+        # the entry just after it.
+        i = p - 2
+        while i >= 0 and x[i] == 0:
+            i -= 1
+        if i < 0:
+            return out
+        tail = x[-1]
+        x[-1] = 0
+        x[i] -= 1
+        x[i + 1] = tail + 1
 
 
 def argmax_set(z: Strategy) -> CandidateSet:

@@ -13,14 +13,13 @@ REJECTED = "rejected"
 UNDECIDED = "undecided"
 
 # How a verdict was reached.  "signature-matching" covers correspondence
-# recognition, "lu-counting" the large-beta form regime, "plurality" the
-# single-card case, "counting-intervals" the two-card case,
+# recognition, "lu-counting" the p >= 3 forms whose rows are always
+# distinct (either orientation), "plurality" the single-card case,
 # "two-candidate" the p=2 reduction and "oracle" exhaustive search.
 METHODS = (
     "signature-matching",
     "lu-counting",
     "plurality",
-    "counting-intervals",
     "two-candidate",
     "oracle",
 )

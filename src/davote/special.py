@@ -1,11 +1,9 @@
-"""Special-case recognizers: two-card voters and two-candidate elections.
+"""Two-candidate elections with any number of voters.
 
-Two independent extensions of the basic machinery live here.  The first
-handles forms where both voters hold exactly two cards: per-row
-occurrence counts fall into three disjoint intervals that reveal the
-row's strategy outright.  The second handles any number of voters over
-two candidates, where a strategy is just the number of cards put on the
-first candidate and the outcome only depends on the total.
+Over two candidates a strategy is just the number of cards put on the
+first candidate, and the outcome only depends on the card total, so
+tableaux of any number of voters can be generated and recognized plane
+by plane.
 """
 
 from __future__ import annotations
@@ -20,17 +18,11 @@ from .core import (
     ParameterError,
     PlaneLabeling,
     TIE_RULES,
-    row_signature,
-    winner_table,
 )
-from .matching import accept_row_labels
 from .results import ACCEPTED, REJECTED, RecognitionResult
 
 __all__ = [
-    "CountInterval",
     "NTableau",
-    "count_intervals",
-    "recognize_form_2_2",
     "generate_n_tableau",
     "plane_signature",
     "recognize_n_tableau",
@@ -38,104 +30,6 @@ __all__ = [
     "n_tableau_as_grid",
 ]
 
-
-@dataclass(frozen=True)
-class CountInterval:
-    """Inclusive occurrence-count range with the row kind it identifies."""
-
-    lo: int
-    hi: int
-    role: str
-
-    def __contains__(self, n: int) -> bool:
-        return self.lo <= n <= self.hi
-
-
-def count_intervals(p: int) -> tuple[CountInterval, CountInterval, CountInterval]:
-    """Occurrence-count intervals for two-card rows over p >= 3 candidates.
-
-    In a row labeled with the doubled strategy on a, candidate a wins
-    between (p*p - p + 2) / 2 and p*(p + 1) / 2 cells.  In a row labeled
-    with a split strategy on {a, b}, each of a and b wins between p - 1
-    and (p*p - 3*p + 6) / 2 cells, and every third candidate between 1
-    and p - 2.  The three intervals are pairwise disjoint, so the counts
-    determine the row label.
-    """
-    if p < 3:
-        raise ParameterError(f"count intervals need p >= 3, got p={p}")
-    return (
-        CountInterval(1, p - 2, "other"),
-        CountInterval(p - 1, (p * p - 3 * p + 6) // 2, "split-pair"),
-        CountInterval((p * p - p + 2) // 2, p * (p + 1) // 2, "doubled"),
-    )
-
-
-def recognize_form_2_2(g: Form) -> RecognitionResult:
-    """Decide whether a form is distributed approval with two cards each.
-
-    Requires p >= 3 candidates and a p*(p+1)/2 square matrix.  Row
-    labels are read off the occurrence-count intervals and must exhaust
-    all two-card strategies; columns are then matched by membership.
-    """
-    p = g.candidates
-    if p < 3:
-        raise ParameterError(f"two-card recognition needs p >= 3, got p={p}")
-    size = p * (p + 1) // 2
-    method = "counting-intervals"
-    if g.rows != size or g.cols != size:
-        return RecognitionResult(
-            REJECTED,
-            method,
-            witness=f"two-card tableau over {p} candidates must be "
-            f"{size} x {size}, got {g.rows} x {g.cols}",
-        )
-    low, mid, top = count_intervals(p)
-    table = xs, _, _ = winner_table(p, 2, 2)
-    index = {x: xi for xi, x in enumerate(xs)}
-
-    assignment: list[int] = []
-    for i in range(size):
-        counts = list(row_signature(g, i))
-        m = max(counts)
-        if m in top:
-            a = counts.index(m)
-            if any(counts[c] > 1 for c in range(p) if c != a):
-                return RecognitionResult(
-                    REJECTED,
-                    method,
-                    witness=f"row {i}: dominant candidate {a} but another "
-                    f"candidate repeats",
-                )
-            label = tuple(2 if c == a else 0 for c in range(p))
-        elif m in mid:
-            pair = [c for c in range(p) if counts[c] in mid]
-            rest_ok = all(
-                counts[c] in low for c in range(p) if c not in pair
-            )
-            if len(pair) != 2 or not rest_ok:
-                return RecognitionResult(
-                    REJECTED,
-                    method,
-                    witness=f"row {i}: occurrence counts {counts} fit no "
-                    f"two-card row profile",
-                )
-            label = tuple(1 if c in pair else 0 for c in range(p))
-        else:
-            return RecognitionResult(
-                REJECTED,
-                method,
-                witness=f"row {i}: top count {m} falls outside every interval",
-            )
-        assignment.append(index[label])
-    # With exactly p*(p+1)/2 rows, labels that repeat no strategy use
-    # every two-card strategy once.
-    return accept_row_labels(g, method, table, assignment)
-
-
-# In two-candidate elections a strategy is the card count z placed on
-# candidate 0 (the rest goes on candidate 1), and a cell only depends on
-# the total: above half the weight sum candidate 0 wins, below it
-# candidate 1, at exactly half they tie.
 
 A, B = 0, 1
 

@@ -246,6 +246,8 @@ def loads_tableau(text: str):
             data = json.loads(text)
         except json.JSONDecodeError:
             return _from_text(text)
+        except RecursionError:
+            raise ParameterError("JSON nests too deeply to be a tableau") from None
         return _from_json(data)
     return _from_text(text)
 

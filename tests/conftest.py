@@ -9,9 +9,12 @@ them with the code under test.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
-from davote import Correspondence, Form
+from davote import Correspondence, Form, ParameterError
+from davote.core import enumerate_strategies, winner_row
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -25,6 +28,58 @@ def corr(p: int, rows) -> Correspondence:
 
 def form(p: int, rows) -> Form:
     return Form(candidates=p, cells=tuple(tuple(row) for row in rows))
+
+
+def b_set(x, xp) -> frozenset[int]:
+    """Candidates on which `x` places strictly more cards than `xp`."""
+    if len(x) != len(xp) or sum(x) != sum(xp):
+        raise ParameterError("strategies must have equal length and weight")
+    if x == xp:
+        raise ParameterError("strategies must be distinct")
+    return frozenset(a for a in range(len(x)) if x[a] > xp[a])
+
+
+def lu_counts(x, b, p: int, beta: int) -> tuple[int, int]:
+    """Lower and upper winner-count bounds of strategy `x` against `b`.
+
+    The first entry counts opponent strategies against which `x` wins
+    only inside `b` (argmax set contained in `b`), the second those
+    where some member of `b` still wins (argmax set intersecting `b`).
+    Any valid row labeled `x` has its in-`b` winner count between the
+    two.
+    """
+    winners = winner_row(x, enumerate_strategies(p, beta))
+    return sum(1 for am in winners if am <= b), sum(1 for am in winners if am & b)
+
+
+@dataclass(frozen=True)
+class CountInterval:
+    """Inclusive occurrence-count range with the row kind it identifies."""
+
+    lo: int
+    hi: int
+    role: str
+
+    def __contains__(self, n: int) -> bool:
+        return self.lo <= n <= self.hi
+
+
+def count_intervals(p: int) -> tuple[CountInterval, CountInterval, CountInterval]:
+    """Occurrence-count intervals for two-card rows over p >= 3 candidates.
+
+    In a row labeled with the doubled strategy on a, candidate a wins
+    between (p*p - p + 2) / 2 and p*(p + 1) / 2 cells.  In a row labeled
+    with a split strategy on {a, b}, each of a and b wins between p - 1
+    and (p*p - 3*p + 6) / 2 cells, and every third candidate between 1
+    and p - 2.
+    """
+    if p < 3:
+        raise ParameterError(f"count intervals need p >= 3, got p={p}")
+    return (
+        CountInterval(1, p - 2, "other"),
+        CountInterval(p - 1, (p * p - 3 * p + 6) // 2, "split-pair"),
+        CountInterval((p * p - p + 2) // 2, p * (p + 1) // 2, "doubled"),
+    )
 
 
 def count_perfect_matchings(adjacency: list[list[int]], n_right: int, cap: int = 1_000_000) -> int:

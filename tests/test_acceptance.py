@@ -28,8 +28,10 @@ from conftest import (
     CORR_2_3_3_ROWS,
     FORM_2_3_3_DISTINCT_ROWS,
     FORM_2_3_3_REPEATED_ROWS,
+    b_set,
     corr,
     form,
+    lu_counts,
 )
 
 from davote.cli import main
@@ -43,6 +45,7 @@ from davote.core import (
     permute_tableau,
     signature_of_strategy,
     strategy_count,
+    winner_table,
 )
 from davote.distinctness import (
     all_forms_rows_distinct,
@@ -54,8 +57,7 @@ from davote.distinctness import (
 from davote.oracle import oracle_recognize
 from davote.plurality import find_forbidden_submatrix, recognize_plurality_form
 from davote.recognizer import (
-    b_set,
-    lu_counts,
+    _count_bounds,
     recognize_correspondence,
     recognize_form,
     recognize_tableau,
@@ -203,12 +205,15 @@ def test_04_form_distinct_rows():
 
 
 def test_05_counting_properties():
-    """Gate 5: zero counterexamples to the four counting facts the
+    """Gate 5: zero counterexamples to the five counting facts the
     recognizers lean on: (a) distinct strategies have distinct
     signatures for beta >= alpha - 1; (b, c) single-card moves only
     shrink differentiating sets, and for p >= 3 a differentiating column
     forces singleton winner sets (both inside neighbor_reduction_check);
-    (d) strict must-win/may-win separation at beta = 2 alpha."""
+    (d) strict must-win/may-win separation at beta = 2 alpha; (e) the
+    per-candidate winner-count bounds of every two distinct strategies
+    are disjoint on some candidate exactly when every form has distinct
+    rows (144 points, 54 of them distinct)."""
     for p in range(2, 6):
         for a in range(1, 6):
             for b in range(max(1, a - 1), 7):
@@ -238,6 +243,21 @@ def test_05_counting_properties():
                     must_u = lu_counts(u, bset, p, beta)[0]
                     may_v = lu_counts(v, bset, p, beta)[1]
                     assert may_v < must_u, (p, a, u, v)
+
+    points = distinct = 0
+    for p in range(2, 6):
+        for a in range(1, 7):
+            for b in range(1, 7):
+                _, _, rows = winner_table(p, a, b)
+                bounds = [_count_bounds(row, p) for row in rows]
+                separated = all(
+                    any(hi_u[c] < lo_v[c] or hi_v[c] < lo_u[c] for c in range(p))
+                    for (lo_u, hi_u), (lo_v, hi_v) in combinations(bounds, 2)
+                )
+                assert separated == all_forms_rows_distinct(p, a, b), (p, a, b)
+                points += 1
+                distinct += separated
+    assert points == 144 and distinct == 54
 
 
 def test_06_form_recognition_in_regime():
@@ -321,8 +341,8 @@ def test_07_plurality_exhaustive():
 
 
 def test_08_two_card_regime():
-    """Gate 8: at three candidates with two cards each, the interval
-    recognizer and the oracle agree on every generated instance (both
+    """Gate 8: at three candidates with two cards each, the winner-count
+    route and the oracle agree on every generated instance (both
     tie rules, ten seeded resolutions, shuffled), on every single-cell
     perturbation of the two deterministic forms, and on ten thousand
     seeded random 6x6 grids."""

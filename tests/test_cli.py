@@ -2,14 +2,18 @@
 
 Each test drives main(argv) directly and inspects the exit code plus
 captured stdout/stderr; no subprocesses.  Exit code convention:
-0 accepted/true, 1 rejected/false, 2 undecided or guard, 3 usage/I/O.
+0 accepted/true, 1 rejected/false, 2 undecided or guard, 3 usage/I/O,
+4 internal error.
 """
 
 import json
 
 import pytest
 from conftest import BAD_M2_ROWS, form
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from davote import cli
 from davote.cli import main
 from davote.core import generate_correspondence, generate_form
 from davote.special import generate_n_tableau
@@ -118,15 +122,15 @@ class TestRecognize:
         assert report["witness"] is not None
 
     def test_over_guard_is_undecided(self, capsys, tmp_path):
-        # 10 x 15 cells, out of every fast regime, over the default
+        # 10 x 10 cells, out of every fast regime, over the default
         # oracle budget.
-        path = self.write(tmp_path, generate_form(3, 3, 4))
+        path = self.write(tmp_path, generate_form(3, 3, 3))
         code, out, err = run(capsys, ["recognize", path])
         assert code == 2
         assert json.loads(out)["verdict"] == "undecided"
 
     def test_raised_budget_decides(self, capsys, tmp_path):
-        path = self.write(tmp_path, generate_form(3, 3, 4))
+        path = self.write(tmp_path, generate_form(3, 3, 3))
         code, out, err = run(capsys, ["recognize", path, "--oracle-cells", "200"])
         assert code == 0
         assert json.loads(out)["verdict"] == "accepted"
@@ -350,3 +354,66 @@ class TestUsage:
         code, out, err = run(capsys, ["recognize", str(bad)])
         assert code == 3
         assert "error:" in err
+
+    def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"cells": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run(capsys, ["recognize", str(bad)])
+        assert code == 3
+        assert "Traceback" not in err
+
+    def test_internal_error_is_one_line(self, capsys, tmp_path, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_recognize", boom)
+        path = tmp_path / "t.json"
+        path.write_text(dumps_tableau(generate_form(3, 1, 2)))
+        code, out, err = run(capsys, ["recognize", str(path)])
+        assert code == 4
+        assert err == "error: internal error: RuntimeError: boom\n"
+        assert out == ""
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    max_leaves=30,
+)
+# Objects shaped like tableau files, so the fuzz also gets past the
+# top-level schema checks.
+tableau_like = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["form", "correspondence"]) | json_values},
+    optional={
+        "candidates": st.lists(st.sampled_from("abc"), max_size=4) | json_values,
+        "cells": st.lists(
+            st.lists(st.sampled_from(["a", "b", "c", "ab", "x"]) | json_values, max_size=6),
+            max_size=6,
+        )
+        | json_values,
+        "weights": st.lists(st.integers(-1, 4), max_size=3) | json_values,
+        "dims": json_values,
+    },
+)
+
+
+class TestRecognizeFuzz:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.one_of(
+            json_values.map(json.dumps).map(str.encode),
+            tableau_like.map(json.dumps).map(str.encode),
+            st.binary(max_size=200),
+        )
+    )
+    def test_any_file_gets_a_documented_code(self, capsys, tmp_path, data):
+        path = tmp_path / "fuzz.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, ["recognize", str(path)])
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err

@@ -64,6 +64,13 @@ class TestEnumerateStrategies:
         with pytest.raises(ParameterError):
             enumerate_strategies(p, w)
 
+    def test_many_candidates_need_no_recursion(self):
+        # More candidates than the interpreter's default recursion limit.
+        p = 1500
+        assert enumerate_strategies(p, 1) == [
+            tuple(int(a == j) for a in range(p)) for j in range(p)
+        ]
+
 
 class TestArgmax:
     @pytest.mark.parametrize(

@@ -20,15 +20,19 @@ from davote import (
     recognize_tableau,
 )
 from davote.core import enumerate_strategies, infer_parameters, labeling_generates, winner_row
-from davote.recognizer import (
-    b_set,
-    b_set_family,
-    lu_counts,
-    recognize_correspondence,
-    recognize_form,
-)
+from davote.recognizer import recognize_correspondence, recognize_form
 from davote.matching import column_adjacency
-from conftest import A, B, corr, count_perfect_matchings, equality_adjacency, form
+from davote.oracle import oracle_recognize
+from conftest import (
+    A,
+    B,
+    b_set,
+    corr,
+    count_perfect_matchings,
+    equality_adjacency,
+    form,
+    lu_counts,
+)
 
 
 def shuffled(t, seed: int):
@@ -75,25 +79,6 @@ class TestBSet:
                 fwd, rev = b_set(x, xp), b_set(xp, x)
                 assert fwd and rev
                 assert not (fwd & rev)
-
-
-class TestBSetFamily:
-    def test_single_card(self):
-        assert b_set_family(3, 1) == [
-            frozenset({0}),
-            frozenset({1}),
-            frozenset({2}),
-        ]
-
-    def test_two_candidates(self):
-        assert b_set_family(2, 2) == [frozenset({0}), frozenset({1})]
-
-    def test_members_are_proper_subsets(self):
-        for p, alpha in [(3, 2), (3, 3), (4, 2)]:
-            fam = b_set_family(p, alpha)
-            assert len(fam) == len(set(fam))
-            for bs in fam:
-                assert 0 < len(bs) < p
 
 
 class TestLuCounts:
@@ -232,7 +217,7 @@ class TestRecognizeFormDispatch:
     def test_two_cards_each_use_count_intervals(self):
         res = recognize_form(generate_form(3, 2, 2))
         assert res.verdict == ACCEPTED
-        assert res.method == "counting-intervals"
+        assert res.method == "lu-counting"
 
     def test_two_candidates_odd_total(self):
         res = recognize_form(generate_form(2, 1, 2))
@@ -251,14 +236,14 @@ class TestRecognizeFormDispatch:
         assert res.method == "oracle"
 
     def test_leftover_regime_above_guard_is_undecided(self):
-        g = generate_form(3, 3, 4)
+        g = generate_form(3, 3, 3)
         res = recognize_form(g)
         assert res.verdict == UNDECIDED
         assert res.method == "oracle"
         assert "guard" in res.witness or "cells" in res.witness
 
     def test_guard_can_be_raised(self):
-        g = generate_form(3, 3, 4)
+        g = generate_form(3, 3, 3)
         res = recognize_form(g, oracle_cells=200)
         assert res.verdict == ACCEPTED
         assert labeling_generates(g, res.labeling)
@@ -312,6 +297,48 @@ class TestRecognizeFormBehavior:
         assert labeling_generates(g, res.labeling)
 
 
+class TestNewlyCoveredRegimes:
+    # Every form has distinct rows here although neither weight is at
+    # least twice the other; (3, 4, 3) and (4, 3, 2) take the transpose.
+    TRIPLES = [(3, 3, 4), (4, 2, 3), (3, 4, 3), (4, 3, 2)]
+
+    @pytest.mark.parametrize("p,alpha,beta", TRIPLES)
+    def test_generated_forms_get_forced_labels(self, p, alpha, beta):
+        # The labels of the side whose lines are always distinct are
+        # forced: the rows, or the columns of a transposed triple.
+        transposed = alpha > beta
+        xs = enumerate_strategies(p, beta if transposed else alpha)
+        h = generate_correspondence(p, alpha, beta)
+        rng = random.Random(100 * p + 10 * alpha + beta)
+        instances = [generate_form(p, alpha, beta, rule) for rule in ("min-index", "max-index")]
+        instances += [
+            Form(p, tuple(tuple(rng.choice(sorted(c)) for c in row) for row in h.cells))
+            for _ in range(3)
+        ]
+        for g in instances:
+            row_perm = rng.sample(range(g.rows), g.rows)
+            col_perm = rng.sample(range(g.cols), g.cols)
+            res = recognize_form(permute_tableau(g, row_perm, col_perm))
+            assert (res.verdict, res.method) == (ACCEPTED, "lu-counting")
+            if transposed:
+                assert res.labeling.col_labels == tuple(xs[j] for j in col_perm)
+            else:
+                assert res.labeling.row_labels == tuple(xs[i] for i in row_perm)
+
+    @pytest.mark.parametrize("p,alpha,beta", TRIPLES)
+    def test_perturbed_forms_agree_with_oracle(self, p, alpha, beta):
+        h = generate_correspondence(p, alpha, beta)
+        rng = random.Random(1000 + 100 * p + 10 * alpha + beta)
+        for k in range(10):
+            cells = [[rng.choice(sorted(c)) for c in row] for row in h.cells]
+            for _ in range(1 + k % 2):
+                cells[rng.randrange(h.rows)][rng.randrange(h.cols)] = rng.randrange(p)
+            g = shuffled(Form(p, tuple(map(tuple, cells))), k)
+            res = recognize_form(g)
+            assert res.method == "lu-counting"
+            assert res.accepted == oracle_recognize(g, max_cells=10**6).is_dav
+
+
 class TestRecognizeTableau:
     def test_dispatch(self, corr_2_3_3, form_distinct_rows):
         assert recognize_tableau(corr_2_3_3).method == "signature-matching"
@@ -321,6 +348,6 @@ class TestRecognizeTableau:
         assert recognize_tableau(nt).method == "two-candidate"
 
     def test_kwargs_reach_form_recognition(self):
-        g = generate_form(3, 3, 4)
+        g = generate_form(3, 3, 3)
         assert recognize_tableau(g).verdict == UNDECIDED
         assert recognize_tableau(g, oracle_cells=200).verdict == ACCEPTED

@@ -1,4 +1,4 @@
-"""Two-card recognition, and n-voter two-candidate tableaux."""
+"""Two-card forms through `recognize_form`, and n-voter two-candidate tableaux."""
 
 from __future__ import annotations
 
@@ -20,21 +20,18 @@ from davote import (
     permute_axes,
     permute_tableau,
 )
-from davote.core import enumerate_strategies, labeling_generates
-from davote.recognizer import recognize_correspondence, recognize_form
-from davote.special import (
-    count_intervals,
-    n_tableau_as_grid,
-    plane_signature,
-    recognize_form_2_2,
-    recognize_n_tableau,
-)
-from conftest import A, B
+from davote.core import enumerate_strategies, labeling_generates, winner_table
+from davote.recognizer import _count_bounds, recognize_correspondence, recognize_form
+from davote.special import n_tableau_as_grid, plane_signature, recognize_n_tableau
+from conftest import A, B, count_intervals
 
 AB = frozenset({A, B})
 
 
 class TestCountIntervals:
+    # The closed-form two-card occurrence-count intervals contain the
+    # per-candidate winner-count bounds that recognition reads off the
+    # winner table.
     def test_three_candidates(self):
         low, mid, top = count_intervals(3)
         assert (low.lo, low.hi) == (1, 1)
@@ -52,6 +49,18 @@ class TestCountIntervals:
     def test_pairwise_disjoint_and_ordered(self, p):
         low, mid, top = count_intervals(p)
         assert low.lo <= low.hi < mid.lo <= mid.hi < top.lo <= top.hi
+        xs, _, rows = winner_table(p, 2, 2)
+        for x, row in zip(xs, rows):
+            lo, hi = _count_bounds(row, p)
+            if 2 in x:
+                # Doubled on a: a lands in the top interval.
+                a = x.index(2)
+                assert top.lo <= lo[a] <= hi[a] <= top.hi, (p, x)
+                continue
+            # Split: the pair in the middle interval, the rest low.
+            for a in range(p):
+                role = mid if x[a] else low
+                assert role.lo <= lo[a] <= hi[a] <= role.hi, (p, x, a)
 
     def test_needs_three_candidates(self):
         with pytest.raises(ParameterError):
@@ -81,37 +90,40 @@ class TestRecognizeFormTwoCards:
         rng = random.Random(p)
         for rule in ("min-index", "max-index"):
             g = shuffle_form(generate_form(p, 2, 2, rule), rng)
-            res = recognize_form_2_2(g)
+            res = recognize_form(g)
             assert res.verdict == ACCEPTED
-            assert res.method == "counting-intervals"
+            assert res.method == "lu-counting"
             assert labeling_generates(g, res.labeling)
         for _ in range(5):
             g = shuffle_form(random_resolution(p, 2, 2, rng), rng)
-            res = recognize_form_2_2(g)
+            res = recognize_form(g)
             assert res.verdict == ACCEPTED
             assert labeling_generates(g, res.labeling)
 
     def test_row_labels_exhaust_two_card_strategies(self):
-        res = recognize_form_2_2(generate_form(3, 2, 2))
+        res = recognize_form(generate_form(3, 2, 2))
         assert res.labeling.row_labels == tuple(enumerate_strategies(3, 2))
 
     def test_wrong_size_rejected(self):
-        g = Form(candidates=3, cells=((A, B, A), (B, A, B), (A, A, B)))
-        res = recognize_form_2_2(g)
+        # Six rows are two-card rows over three candidates, but no
+        # weight gives five columns.
+        g = Form(candidates=3, cells=((A, B, A, B, A),) * 6)
+        res = recognize_form(g)
         assert res.verdict == REJECTED
-        assert "6 x 6" in res.witness
+        assert "5 columns" in res.witness
 
     def test_perturbation_rejected(self):
         base = generate_form(3, 2, 2)
         h = generate_correspondence(3, 2, 2)
         cells = [list(r) for r in base.cells]
         cells[0][0] = min(set(range(3)) - set(h.cells[0][0]))
-        res = recognize_form_2_2(Form(candidates=3, cells=tuple(map(tuple, cells))))
+        res = recognize_form(Form(candidates=3, cells=tuple(map(tuple, cells))))
         assert res.verdict == REJECTED
 
     def test_two_candidates_unsupported(self):
-        with pytest.raises(ParameterError):
-            recognize_form_2_2(Form(candidates=2, cells=((A, B), (B, A))))
+        # Two-card forms over two candidates keep the p = 2 routes.
+        assert recognize_form(generate_form(2, 2, 2)).method == "oracle"
+        assert recognize_form(generate_form(2, 2, 3)).method == "two-candidate"
 
     def test_agrees_with_oracle_on_random_matrices(self):
         rng = random.Random(22)
@@ -120,7 +132,7 @@ class TestRecognizeFormTwoCards:
                 tuple(rng.randrange(3) for _ in range(6)) for _ in range(6)
             )
             g = Form(candidates=3, cells=cells)
-            assert (recognize_form_2_2(g).verdict == ACCEPTED) == oracle_recognize(
+            assert (recognize_form(g).verdict == ACCEPTED) == oracle_recognize(
                 g
             ).is_dav
 
