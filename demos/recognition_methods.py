@@ -4,10 +4,10 @@ Five ways to say yes or no
 
 Recognition picks its method from the parameters it infers off the grid
 shape: per-candidate winner counts whenever every form has distinct
-rows, a forbidden-pattern scan in the single-card case, a reduction
-through the tie diagonal for two candidates, and an exhaustive oracle
-when the grid is small enough to brute-force.  Outside all of that it refuses to guess.  This script
-sends one input down each path.
+rows, a forbidden-pattern scan in the single-card case, plane ranking
+for two candidates, and an exhaustive oracle when the grid is small
+enough to brute-force.  Outside all of that it refuses to guess.  This
+script sends one input down each path.
 """
 
 import random
@@ -38,12 +38,13 @@ show("p=4, alpha=beta=1 (form)", recognize_form(generate_form(4, 1, 1)))
 # applies.
 show("p=3, alpha=beta=2 (form)", recognize_form(generate_form(3, 2, 2)))
 
-# Two candidates, odd card total: no ties anywhere, so the form behaves
-# like a correspondence.
-show("p=2, alpha=2, beta=3 (form)", recognize_form(generate_form(2, 2, 3)))
+# Two candidates: a strategy is the number of cards on the first one,
+# so ranking rows and columns by their winner counts labels them, for
+# any card total.
+show("p=2, alpha=beta=2 (form)", recognize_form(generate_form(2, 2, 2)))
 
 # Small and out of every regime: the exhaustive oracle settles it.
-show("p=2, alpha=beta=2 (form)", recognize_form(generate_form(2, 2, 2)))
+show("p=3, alpha=2, beta=3 (form)", recognize_form(generate_form(3, 2, 3)))
 
 # Large and out of every regime: undecided, with the reason attached.
 big = generate_form(3, 3, 3)
@@ -80,8 +81,8 @@ print(f"three voters with cards (2, 3, 2), axes shuffled: {res.verdict}")
 print(f"  recovered axis labels: {res.labeling.axis_labels}")
 print()
 
-# Speed check: the matching stage is cubic in the column count, so even
-# sixty cards a side answers quickly.
+# Speed check: plane ranking sorts the rows and columns once and checks
+# every cell once, so even sixty cards a side answers quickly.
 t0 = time.monotonic()
 res = recognize_correspondence(generate_correspondence(2, 60, 60))
 print(f"61 x 61 correspondence recognized in {time.monotonic() - t0:.3f}s "

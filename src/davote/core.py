@@ -61,6 +61,8 @@ Signature = tuple[int, ...]
 
 TIE_RULES = ("min-index", "max-index")
 
+_MAX_CELLS = 10**7  # largest table a generator builds, checked up front
+
 
 class ParameterError(ValueError):
     """Raised for voting parameters outside the valid domain."""
@@ -88,6 +90,13 @@ def _check_params(p: int, *weights: int) -> None:
     for w in weights:
         if w < 1:
             raise ParameterError(f"voter weight must be >= 1, got {w}")
+
+
+def _check_cells(cells: int, what: str) -> None:
+    if cells > _MAX_CELLS:
+        raise ParameterError(
+            f"{what} would have {cells} cells, over the limit of {_MAX_CELLS}"
+        )
 
 
 def strategy_count(p: int, weight: int) -> int:
@@ -246,7 +255,10 @@ def generate_correspondence(p: int, alpha: int, beta: int) -> Correspondence:
     `enumerate_strategies(p, beta)`; every cell is the argmax set of the
     summed strategies.
     """
-    _check_params(p, alpha, beta)
+    _check_cells(
+        strategy_count(p, alpha) * strategy_count(p, beta),
+        f"the (p={p}, alpha={alpha}, beta={beta}) tableau",
+    )
     _, _, rows = winner_table(p, alpha, beta)
     return Correspondence(candidates=p, cells=tuple(rows))
 

@@ -30,7 +30,6 @@ __all__ = [
     "SizeGuardError",
     "differentiating_set",
     "correspondence_rows_distinct",
-    "correspondence_rows_distinct_direct",
     "identical_correspondence_rows",
     "all_forms_rows_distinct",
     "all_forms_rows_distinct_direct",
@@ -68,11 +67,6 @@ def correspondence_rows_distinct(p: int, alpha: int, beta: int) -> bool:
     if alpha == 1:
         return True
     return beta >= alpha - 2
-
-
-def correspondence_rows_distinct_direct(p: int, alpha: int, beta: int) -> bool:
-    """Build the winner table and look for two equal rows."""
-    return not identical_correspondence_rows(p, alpha, beta)
 
 
 def identical_correspondence_rows(
@@ -129,35 +123,29 @@ def all_forms_rows_distinct_direct(
     p: int,
     alpha: int,
     beta: int,
-    neighbors_only: bool = False,
     max_evals: int = DEFAULT_MAX_EVALS,
 ) -> bool:
-    """Direct check that every strategy pair has a differentiating column.
+    """Direct check that every single-card-move pair has a differentiating column.
 
-    With `neighbors_only` the check runs only over single-card-move
-    pairs; moving one card can only shrink the differentiating set, so
-    the neighbor verdict equals the all-pairs verdict at a fraction of
-    the cost.  `max_evals` bounds the number of cell evaluations
-    (roughly pairs times columns); exceeding it raises `SizeGuardError`.
+    Moving one card can only shrink the differentiating set, so this
+    verdict equals that of the all-pairs scan `empty_differentiating_pairs`
+    at a fraction of the cost.  `max_evals` bounds the number of cell
+    evaluations (roughly pairs times columns); exceeding it raises
+    `SizeGuardError`.
     """
     k = strategy_count(p, alpha)
     n_cols = strategy_count(p, beta)
-    pair_bound = k * p * p if neighbors_only else k * k
-    if pair_bound * n_cols > max_evals:
+    if k * p * p * n_cols > max_evals:
         raise SizeGuardError(
             f"direct check for p={p}, alpha={alpha}, beta={beta} needs about "
-            f"{pair_bound * n_cols} evaluations, over the budget of {max_evals}"
+            f"{k * p * p * n_cols} evaluations, over the budget of {max_evals}"
         )
     xs, _, rows = winner_table(p, alpha, beta)
     am_rows = dict(zip(xs, rows))
-    if neighbors_only:
-        pairs = _neighbor_pairs(xs, p)
-    else:
-        pairs = ((xs[i], xs[j]) for i in range(k) for j in range(i + 1, k))
-    for x, xp in pairs:
-        if not any(am.isdisjoint(am_p) for am, am_p in zip(am_rows[x], am_rows[xp])):
-            return False
-    return True
+    return all(
+        any(am.isdisjoint(am_p) for am, am_p in zip(am_rows[x], am_rows[xp]))
+        for x, xp in _neighbor_pairs(xs, p)
+    )
 
 
 def empty_differentiating_pairs(

@@ -1,20 +1,20 @@
 """Polynomial-time recognition of distributed approval tableaux.
 
-Correspondences are recognized in full generality: per-candidate row
-signatures pin every row to at most one strategy once the wider side is
-taken as columns, and the column labels follow from a perfect matching
-on exact column reproduction.
+Every two-candidate grid is read as a two-voter `NTableau` and decided
+by ranking its planes.  Over p >= 3 candidates, correspondences are
+recognized in full generality: per-candidate row signatures pin every
+row to at most one strategy once the wider side is taken as columns.
 
-Forms are recognized by a dispatch over the voting parameters.  The
-workhorse is the winner-count route for p >= 3 wherever every form has
-distinct rows (`all_forms_rows_distinct`), in either orientation: a row
-labeled x wins candidate a in at least the cells where a wins alone
-under x and at most the cells where a is among the winners.  In that
-regime these per-candidate bounds of two distinct strategies are
-disjoint on some candidate, so they isolate a unique strategy per row.
-The remaining parameter families go to the single-card and two-candidate
-recognizers, or to the exhaustive oracle when small enough; anything
-else is reported as undecided rather than guessed.
+Forms over p >= 3 are recognized by a dispatch over the voting
+parameters.  The workhorse is the winner-count route wherever every
+form has distinct rows (`all_forms_rows_distinct`), in either
+orientation: a row labeled x wins candidate a in at least the cells
+where a wins alone under x and at most the cells where a is among the
+winners.  In that regime these per-candidate bounds of two distinct
+strategies are disjoint on some candidate, so they isolate a unique
+strategy per row.  Single-card forms go to the forbidden-pattern
+recognizer, the rest to the exhaustive oracle when small enough;
+anything else is reported as undecided rather than guessed.
 """
 
 from __future__ import annotations
@@ -59,13 +59,29 @@ def _swap_labeling(res: RecognitionResult) -> RecognitionResult:
     return res
 
 
+def _recognize_two_candidates(
+    t: Correspondence | Form, alpha: int, beta: int
+) -> RecognitionResult:
+    """p = 2: rank the rows and columns as planes of a two-voter tableau."""
+    kind = "correspondence" if isinstance(t, Correspondence) else "form"
+    cells = tuple(cell for row in t.cells for cell in row)
+    res = recognize_n_tableau(NTableau((alpha, beta), kind, cells))
+    if res.verdict == ACCEPTED:
+        rows, cols = res.labeling.axis_labels
+        res.labeling = Labeling(
+            tuple((z, alpha - z) for z in rows), tuple((z, beta - z) for z in cols)
+        )
+    return res
+
+
 def recognize_correspondence(h: Correspondence) -> RecognitionResult:
     """Decide whether a set-valued tableau is a distributed approval table.
 
-    Works for all parameters.  The narrower side is transposed into rows
-    first; each row's signature (per-candidate winner counts) must then
-    match exactly one strategy, and the columns must admit a perfect
-    matching that reproduces them exactly.
+    Works for all parameters.  Two-candidate grids are ranked plane by
+    plane.  Otherwise the narrower side is transposed into rows first;
+    each row's signature (per-candidate winner counts) must then match
+    exactly one strategy, and every column must take a distinct strategy
+    whose generated column it equals.
     """
     method = "signature-matching"
     p = h.candidates
@@ -74,6 +90,8 @@ def recognize_correspondence(h: Correspondence) -> RecognitionResult:
     except NoParametersError as e:
         return RecognitionResult(REJECTED, method, witness=str(e))
 
+    if p == 2:
+        return _recognize_two_candidates(h, alpha, beta)
     if h.cols < h.rows:
         return _swap_labeling(recognize_correspondence(transpose_tableau(h)))
 
@@ -136,34 +154,17 @@ def _recognize_form_lu(g: Form, p: int, alpha: int, beta: int) -> RecognitionRes
     return accept_row_labels(g, method, table, assignment)
 
 
-def _oracle_fallback(g: Form, oracle_cells: int, reason: str) -> RecognitionResult:
-    if g.rows * g.cols > oracle_cells:
-        return RecognitionResult(
-            UNDECIDED,
-            "oracle",
-            witness=f"{reason}, and {g.rows} x {g.cols} exceeds the oracle "
-            f"guard of {oracle_cells} cells",
-        )
-    report = oracle_recognize(g, max_cells=oracle_cells)
-    if report.is_dav:
-        return RecognitionResult(ACCEPTED, "oracle", labeling=report.one_labeling)
-    return RecognitionResult(
-        REJECTED, "oracle", witness="exhaustive search found no labeling"
-    )
-
-
 def recognize_form(g: Form, oracle_cells: int = DEFAULT_MAX_CELLS) -> RecognitionResult:
     """Decide whether a single-winner tableau is a distributed approval form.
 
     Dispatches on the inferred voting parameters:
 
-    1. p >= 3 and every (p, alpha, beta) form has distinct rows:
-       per-candidate winner-count bounds per row;
-    2. p >= 3 and every (p, beta, alpha) form has distinct rows: the
-       same after transposing;
-    3. alpha = beta = 1: forbidden-pattern recognition;
-    4. p = 2: for odd alpha + beta the tie-free correspondence check,
-       otherwise the exhaustive oracle;
+    1. p = 2: plane ranking, for any card total;
+    2. every (p, alpha, beta) form has distinct rows: per-candidate
+       winner-count bounds per row;
+    3. every (p, beta, alpha) form has distinct rows: the same after
+       transposing;
+    4. alpha = beta = 1: forbidden-pattern recognition;
     5. anything else: the oracle when at most `oracle_cells` cells,
        otherwise undecided.
     """
@@ -173,39 +174,29 @@ def recognize_form(g: Form, oracle_cells: int = DEFAULT_MAX_CELLS) -> Recognitio
     except NoParametersError as e:
         return RecognitionResult(REJECTED, "oracle", witness=str(e))
 
-    if p >= 3 and all_forms_rows_distinct(p, alpha, beta):
+    if p == 2:
+        return _recognize_two_candidates(g, alpha, beta)
+    if all_forms_rows_distinct(p, alpha, beta):
         return _recognize_form_lu(g, p, alpha, beta)
-    if p >= 3 and all_forms_rows_distinct(p, beta, alpha):
+    if all_forms_rows_distinct(p, beta, alpha):
         return _swap_labeling(
             _recognize_form_lu(transpose_tableau(g), p, beta, alpha)
         )
     if alpha == 1 and beta == 1:
         return recognize_plurality_form(g)
-    if p == 2:
-        if (alpha + beta) % 2 == 1:
-            # No cell of the underlying correspondence can tie, so the
-            # form must equal the correspondence cell for cell.
-            as_corr = Correspondence(
-                candidates=2,
-                cells=tuple(
-                    tuple(frozenset({v}) for v in row) for row in g.cells
-                ),
-            )
-            inner = recognize_correspondence(as_corr)
-            return RecognitionResult(
-                inner.verdict,
-                "two-candidate",
-                labeling=inner.labeling,
-                witness=inner.witness,
-            )
-        return _oracle_fallback(
-            g, oracle_cells, "two-candidate tableau with tied totals"
+    if g.rows * g.cols > oracle_cells:
+        return RecognitionResult(
+            UNDECIDED,
+            "oracle",
+            witness=f"parameters p={p}, alpha={alpha}, beta={beta} fall outside "
+            f"every implemented regime, and {g.rows} x {g.cols} exceeds the "
+            f"oracle guard of {oracle_cells} cells",
         )
-    return _oracle_fallback(
-        g,
-        oracle_cells,
-        f"parameters p={p}, alpha={alpha}, beta={beta} fall outside every "
-        f"implemented regime",
+    report = oracle_recognize(g, max_cells=oracle_cells)
+    if report.is_dav:
+        return RecognitionResult(ACCEPTED, "oracle", labeling=report.one_labeling)
+    return RecognitionResult(
+        REJECTED, "oracle", witness="exhaustive search found no labeling"
     )
 
 

@@ -12,10 +12,11 @@ ACCEPTED = "accepted"
 REJECTED = "rejected"
 UNDECIDED = "undecided"
 
-# How a verdict was reached.  "signature-matching" covers correspondence
-# recognition, "lu-counting" the p >= 3 forms whose rows are always
-# distinct (either orientation), "plurality" the single-card case,
-# "two-candidate" the p=2 reduction and "oracle" exhaustive search.
+# How a verdict was reached.  "two-candidate" covers every p = 2
+# tableau (plane ranking, any number of voters), "signature-matching"
+# the other correspondences, "lu-counting" the p >= 3 forms whose rows
+# are always distinct (either orientation), "plurality" the single-card
+# case and "oracle" exhaustive search.
 METHODS = (
     "signature-matching",
     "lu-counting",

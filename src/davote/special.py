@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .core import (
     CandidateSet,
@@ -18,6 +19,7 @@ from .core import (
     ParameterError,
     PlaneLabeling,
     TIE_RULES,
+    _check_cells,
 )
 from .results import ACCEPTED, REJECTED, RecognitionResult
 
@@ -106,6 +108,7 @@ def generate_n_tableau(
     if tie_rule not in TIE_RULES:
         raise ParameterError(f"unknown tie rule {tie_rule!r}, expected one of {TIE_RULES}")
     weights = tuple(int(w) for w in weights)
+    _check_cells(prod(w + 1 for w in weights), f"the tableau for weights {weights}")
     sigma = sum(weights)
     pick = min if tie_rule == "min-index" else max
     cells = []

@@ -65,6 +65,15 @@ class TestGenerate:
         assert code == 3
         assert "error:" in err
 
+    def test_oversized_table_is_usage_error(self, capsys):
+        # About 3 * 10^45 cells: refused before any strategy is listed.
+        code, out, err = run(
+            capsys, ["generate", "--p", "40", "--alpha", "40", "--beta", "40"]
+        )
+        assert code == 3
+        assert out == ""
+        assert "over the limit" in err and "Traceback" not in err
+
     def test_missing_required_flag(self, capsys):
         code, out, err = run(capsys, ["generate", "--p", "3", "--alpha", "1"])
         assert code == 3
@@ -85,6 +94,12 @@ class TestGenerateN:
         assert code == 0
         t, _ = loads_tableau(out)
         assert t == generate_n_tableau((2, 3), kind="form", tie_rule="max-index")
+
+    def test_oversized_tableau_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["generate-n", "--weights", "10000,10000,10000"])
+        assert code == 3
+        assert out == ""
+        assert "over the limit" in err and "Traceback" not in err
 
     def test_non_integer_weights(self, capsys):
         code, out, err = run(capsys, ["generate-n", "--weights", "1,x"])

@@ -13,7 +13,6 @@ from davote import (
 from davote.core import enumerate_all_forms, enumerate_strategies
 from davote.distinctness import (
     all_forms_rows_distinct_direct,
-    correspondence_rows_distinct_direct,
     differentiating_set,
     empty_differentiating_pairs,
     identical_correspondence_rows,
@@ -74,7 +73,7 @@ class TestCorrespondenceDistinctness:
     @pytest.mark.parametrize("p,alpha,beta", SMALL_GRID)
     def test_closed_equals_direct(self, p, alpha, beta):
         assert correspondence_rows_distinct(p, alpha, beta) == (
-            correspondence_rows_distinct_direct(p, alpha, beta)
+            not identical_correspondence_rows(p, alpha, beta)
         )
 
     def test_identical_rows_are_reported(self):
@@ -120,10 +119,8 @@ class TestAllFormsDistinctness:
     @pytest.mark.parametrize("p,alpha,beta", SMALL_GRID)
     def test_closed_equals_direct_and_neighbor_modes(self, p, alpha, beta):
         closed = all_forms_rows_distinct(p, alpha, beta)
+        assert closed == (not empty_differentiating_pairs(p, alpha, beta))
         assert closed == all_forms_rows_distinct_direct(p, alpha, beta)
-        assert closed == all_forms_rows_distinct_direct(
-            p, alpha, beta, neighbors_only=True
-        )
 
     @pytest.mark.parametrize("p,alpha,beta", [(3, 2, 3), (2, 2, 2), (3, 2, 2)])
     def test_empty_pair_list_agrees_with_direct(self, p, alpha, beta):

@@ -188,7 +188,7 @@ class TestResultSerialization:
         res = recognize_correspondence(corr_2_3_3)
         data = json.loads(dumps_result(res))
         assert data["verdict"] == "accepted"
-        assert data["method"] == "signature-matching"
+        assert data["method"] == "two-candidate"
         assert data["row_labels"] == [[3, 0], [2, 1], [1, 2], [0, 3]]
         assert data["witness"] is None
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -20,6 +21,7 @@ from davote import (
     recognize_tableau,
 )
 from davote.core import enumerate_strategies, infer_parameters, labeling_generates, winner_row
+from davote import matching, recognizer
 from davote.recognizer import recognize_correspondence, recognize_form
 from davote.matching import column_adjacency
 from davote.oracle import oracle_recognize
@@ -130,7 +132,7 @@ class TestRecognizeCorrespondence:
     def test_worked_example(self, corr_2_3_3):
         res = recognize_correspondence(corr_2_3_3)
         assert res.verdict == ACCEPTED
-        assert res.method == "signature-matching"
+        assert res.method == "two-candidate"
         assert res.labeling.row_labels == tuple(enumerate_strategies(2, 3))
         assert res.labeling.col_labels == tuple(enumerate_strategies(2, 3))
 
@@ -178,8 +180,11 @@ class TestRecognizeCorrespondence:
         assert res.verdict == REJECTED
 
     def test_transposed_rejection_prefixes_witness(self):
-        # 3 rows x 2 cols forces the transpose path before rejecting.
-        bad = corr(2, (({A}, {B}), ({B}, {A}), ({A}, {A})))
+        # 6 rows x 3 cols over three candidates forces the transpose path
+        # before rejecting.
+        cells = [list(row) for row in generate_correspondence(3, 2, 1).cells]
+        cells[0][0] = frozenset({2})
+        bad = Correspondence(candidates=3, cells=tuple(map(tuple, cells)))
         res = recognize_correspondence(bad)
         assert res.verdict == REJECTED
         assert res.witness.startswith("after transposing: ")
@@ -228,7 +233,7 @@ class TestRecognizeFormDispatch:
     def test_two_candidates_even_total(self):
         res = recognize_form(generate_form(2, 2, 2))
         assert res.verdict == ACCEPTED
-        assert res.method == "oracle"
+        assert res.method == "two-candidate"
 
     def test_leftover_regime_small_enough_for_oracle(self):
         res = recognize_form(generate_form(3, 2, 3))
@@ -339,11 +344,79 @@ class TestNewlyCoveredRegimes:
             assert res.accepted == oracle_recognize(g, max_cells=10**6).is_dav
 
 
+class TestTwoCandidates:
+    # Plane ranking decides every p = 2 grid, and the n-voter route runs
+    # the same code, so the exhaustive oracle is the independent check.
+    SETS = (frozenset({A}), frozenset({B}), frozenset({A, B}))
+
+    @staticmethod
+    def grids(values, max_cells):
+        """Every grid of at least 2 x 2 and at most `max_cells` cells."""
+        for rows in range(2, max_cells // 2 + 1):
+            for cols in range(2, max_cells // rows + 1):
+                for flat in product(values, repeat=rows * cols):
+                    yield tuple(flat[i * cols : (i + 1) * cols] for i in range(rows))
+
+    def test_every_small_form_grid_agrees_with_oracle(self):
+        for cells in self.grids((A, B), 12):
+            g = Form(candidates=2, cells=cells)
+            res = recognize_tableau(g)
+            assert res.method == "two-candidate"
+            assert res.accepted == oracle_recognize(g, cap=1).is_dav, cells
+
+    def test_every_small_correspondence_grid_agrees_with_oracle(self):
+        for cells in self.grids(self.SETS, 8):
+            h = Correspondence(candidates=2, cells=cells)
+            res = recognize_tableau(h)
+            assert res.method == "two-candidate"
+            assert res.accepted == oracle_recognize(h, cap=1).is_dav, cells
+
+    @pytest.mark.parametrize("alpha,beta", [(8, 8), (10, 12)])
+    def test_large_even_total_forms_round_trip(self, alpha, beta):
+        # Above the oracle's default guard; these were once undecided.
+        h = generate_correspondence(2, alpha, beta)
+        rng = random.Random(10 * alpha + beta)
+        instances = [generate_form(2, alpha, beta, rule) for rule in ("min-index", "max-index")]
+        instances += [
+            Form(2, tuple(tuple(rng.choice(sorted(c)) for c in row) for row in h.cells))
+            for _ in range(3)
+        ]
+        for seed, g in enumerate(instances):
+            g = shuffled(g, seed)
+            res = recognize_tableau(g)
+            assert (res.verdict, res.method) == (ACCEPTED, "two-candidate")
+            assert labeling_generates(g, res.labeling)
+
+    def test_no_other_route_is_entered(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a p = 2 grid left plane ranking")
+
+        for module, name in [
+            (recognizer, "oracle_recognize"),
+            (recognizer, "recognize_plurality_form"),
+            (recognizer, "winner_table"),
+            (matching, "maximum_matching"),
+        ]:
+            monkeypatch.setattr(module, name, forbidden)
+        instances = [Form(2, cells) for cells in self.grids((A, B), 4)]
+        for alpha, beta in [(1, 2), (2, 2), (3, 3), (8, 8), (5, 1)]:
+            instances += [
+                generate_correspondence(2, alpha, beta),
+                generate_form(2, alpha, beta),
+                generate_form(2, alpha, beta, "max-index"),
+            ]
+        instances.append(corr(2, (({A}, {B}), ({B}, {A}), ({A}, {A}))))
+        for t in instances:
+            res = recognize_tableau(t)
+            assert res.method == "two-candidate"
+            assert res.verdict in (ACCEPTED, REJECTED)
+
+
 class TestRecognizeTableau:
     def test_dispatch(self, corr_2_3_3, form_distinct_rows):
-        assert recognize_tableau(corr_2_3_3).method == "signature-matching"
-        # p=2 with an even card total lands on the oracle.
-        assert recognize_tableau(form_distinct_rows).method == "oracle"
+        assert recognize_tableau(corr_2_3_3).method == "two-candidate"
+        # p=2 lands on plane ranking for any card total, even ones included.
+        assert recognize_tableau(form_distinct_rows).method == "two-candidate"
         nt = generate_n_tableau((2, 2, 1))
         assert recognize_tableau(nt).method == "two-candidate"
 

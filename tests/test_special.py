@@ -121,8 +121,9 @@ class TestRecognizeFormTwoCards:
         assert res.verdict == REJECTED
 
     def test_two_candidates_unsupported(self):
-        # Two-card forms over two candidates keep the p = 2 routes.
-        assert recognize_form(generate_form(2, 2, 2)).method == "oracle"
+        # Two-card forms over two candidates go to plane ranking, like
+        # every other p = 2 form.
+        assert recognize_form(generate_form(2, 2, 2)).method == "two-candidate"
         assert recognize_form(generate_form(2, 2, 3)).method == "two-candidate"
 
     def test_agrees_with_oracle_on_random_matrices(self):
