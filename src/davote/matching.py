@@ -1,78 +1,124 @@
 """Column-label recovery and the accept step shared by the recognizers.
 
-Left vertices are implicit indices into the adjacency list; right
-vertices are indices in ``0..n_right-1``.  Adjacency lists are scanned
-in the given order and left vertices in index order, so results are
-deterministic for a fixed input.
+A correspondence column is labeled by looking up its content.  Form
+columns are matched to strategies as content classes: columns with
+equal content fit the same strategies, so each class is one vertex with
+a multiplicity, and the fit of a class is one bitmask (bit t set when
+strategy t fits).  Labeling the columns is then a b-matching of classes
+to strategies: a greedy fill, then shortest augmenting chains found
+breadth first, as in Hopcroft & Karp (SIAM J. Comput. 2(4), 1973), one
+chain at a time for the classes left short.  Classes are taken in order
+of their first column and strategies in increasing index, so results
+are deterministic for a fixed input.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 
 from .core import CandidateSet, Correspondence, Form, Labeling, Strategy, labeling_generates
 from .results import ACCEPTED, REJECTED, RecognitionResult
 
 __all__ = [
-    "maximum_matching",
-    "column_adjacency",
+    "match_column_classes",
     "lookup_columns",
     "accept_row_labels",
 ]
 
 
-def maximum_matching(adjacency: list[list[int]], n_right: int) -> list[int | None]:
-    """Match left vertices to right ones, maximizing the matched count.
+def _bits(mask: int):
+    """Indices of the set bits of `mask`, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Returns `match_left` with `match_left[i]` the right vertex matched
-    to left vertex i, or None.  Runs in O(V * E).  Augmenting paths are
-    searched depth first with an explicit stack, so path length is not
-    bounded by the interpreter's recursion limit.
+
+def _candidate_masks(row: tuple[CandidateSet, ...], candidates) -> dict[int, int]:
+    """Per candidate v given, the bitmask of the strategies t with ``v in row[t]``."""
+    kinds = list(set(row))
+    # One character per strategy, highest t first: the index of its winner set.
+    code = "".join(map({am: chr(k) for k, am in enumerate(kinds)}.__getitem__, reversed(row)))
+    return {
+        v: int(code.translate({k: "1" if v in am else "0" for k, am in enumerate(kinds)}), 2)
+        for v in candidates
+    }
+
+
+def match_column_classes(cells, rows: list[tuple[CandidateSet, ...]]) -> list[int | None]:
+    """Label form columns with distinct strategies that reproduce them.
+
+    Strategy t fits column j when every cell (i, j) lies in
+    ``rows[i][t]``, the winner set of row i's label plus the t-th column
+    strategy.  Each class first takes the lowest free strategies of its
+    fit, as many as it has columns; a class left short then grows along
+    shortest chains of classes, each taking a strategy the next one
+    gives up, the last one a free strategy.  The first class that cannot
+    grow ends the search: no later augmentation could fill it.  Inside a
+    class, strategies go in increasing order to its columns in index
+    order.
+
+    Returns each column's strategy index, or None for columns left
+    unlabeled, which happens exactly when no perfect matching exists.
     """
-    match_left: list[int | None] = [None] * len(adjacency)
-    match_right: list[int | None] = [None] * n_right
-    for root in range(len(adjacency)):
-        seen = [False] * n_right
-        # One frame per left vertex on the current path, each holding its
-        # place in its own adjacency list; trying[d] is the right vertex
-        # that frame d is trying to take.
-        stack = [(root, iter(adjacency[root]))]
-        trying: list[int] = []
-        while stack:
-            for j in stack[-1][1]:
-                if not seen[j]:
+    masks = [_candidate_masks(row, set(line)) for row, line in zip(rows, cells)]
+    classes: dict[tuple, list[int]] = {}
+    for j, col in enumerate(zip(*cells)):
+        classes.setdefault(col, []).append(j)
+    fits = []
+    for content in classes:
+        fit = -1
+        for m, v in zip(masks, content):
+            fit &= m[v]
+        fits.append(fit)
+    sizes = [len(js) for js in classes.values()]
+
+    n = len(rows[0])
+    held = [0] * len(fits)
+    owner: list[int | None] = [None] * n
+    free = (1 << n) - 1
+    for c, fit in enumerate(fits):
+        for t in islice(_bits(fit & free), sizes[c]):
+            held[c] |= 1 << t
+            owner[t] = c
+        free &= ~held[c]
+
+    for c, size in enumerate(sizes):
+        while held[c].bit_count() < size:
+            # Breadth first over classes; via[e] = (d, bit) when class e
+            # was reached from d and would hand strategy `bit` to it.
+            # `seen` holds the strategies of every class reached so far.
+            via: dict[int, tuple[int | None, int]] = {c: (None, 0)}
+            queue, seen = [c], held[c]
+            for d in queue:
+                reach = fits[d] & ~seen
+                if reach & free:
                     break
+                while reach:
+                    bit = reach & -reach
+                    e = owner[bit.bit_length() - 1]
+                    via[e] = (d, bit)
+                    queue.append(e)
+                    seen |= held[e]
+                    reach &= ~held[e]
             else:
-                stack.pop()
-                if trying:
-                    trying.pop()
-                continue
-            seen[j] = True
-            trying.append(j)
-            if match_right[j] is None:
-                for (left, _), right in zip(stack, trying):
-                    match_left[left] = right
-                    match_right[right] = left
                 break
-            stack.append((match_right[j], iter(adjacency[match_right[j]])))
-    return match_left
+            gain = reach & free & -(reach & free)
+            free ^= gain
+            while d is not None:
+                prev, lose = via[d]
+                held[d] ^= gain | lose
+                owner[gain.bit_length() - 1] = d
+                d, gain = prev, lose
+        if held[c].bit_count() < size:
+            break
 
-
-def column_adjacency(cells, rows: list[tuple[CandidateSet, ...]]) -> list[list[int]]:
-    """Per form column, the strategies able to reproduce it under fixed rows.
-
-    `rows[i][t]` is the winner set of row i's label plus the t-th column
-    strategy; candidate t fits column j when every cell (i, j) lies in
-    ``rows[i][t]``.  Each list is in increasing t, keeping downstream
-    matchings deterministic.  Membership only constrains a column through
-    its content, so columns with equal content share one list.
-    """
-    fits: dict[tuple, list[int]] = {col: [] for col in zip(*cells)}
-    for t, ams in enumerate(zip(*rows)):
-        for content, ts in fits.items():
-            if all(v in am for v, am in zip(content, ams)):
-                ts.append(t)
-    return [fits[col] for col in zip(*cells)]
+    labels: list[int | None] = [None] * len(cells[0])
+    for js, mask in zip(classes.values(), held):
+        for j, t in zip(js, _bits(mask)):
+            labels[j] = t
+    return labels
 
 
 def lookup_columns(cells, rows: list[tuple[CandidateSet, ...]]) -> list[int | None]:
@@ -100,8 +146,8 @@ def accept_row_labels(
     `table` is ``winner_table(p, alpha, beta)`` and `assignment[i]` the
     index of row i's strategy in it.  The rows must use distinct
     strategies, the columns must be labeled (by content lookup for a
-    correspondence, by a perfect matching for a form), and the labeling
-    must regenerate `t`.
+    correspondence, by a perfect class matching for a form), and the
+    labeling must regenerate `t`.
     """
     xs, ys, rows = table
     uses = Counter(assignment)
@@ -117,7 +163,7 @@ def accept_row_labels(
     if isinstance(t, Correspondence):
         match = lookup_columns(t.cells, labeled)
     else:
-        match = maximum_matching(column_adjacency(t.cells, labeled), len(ys))
+        match = match_column_classes(t.cells, labeled)
     if any(m is None for m in match):
         return RecognitionResult(
             REJECTED, method, witness="no perfect matching labels the columns"

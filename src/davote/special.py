@@ -155,8 +155,8 @@ def recognize_n_tableau(f: NTableau) -> RecognitionResult:
         labels.append(tuple(axis_label))
 
     is_corr = f.kind == "correspondence"
-    for z, cell in zip(product(*map(range, f.dims)), f.cells):
-        total = sum(label[t] for label, t in zip(labels, z))
+    for z, parts, cell in zip(product(*map(range, f.dims)), product(*labels), f.cells):
+        total = sum(parts)
         am = _threshold_cell(total, sigma)
         if (cell != am) if is_corr else (cell not in am):
             return RecognitionResult(

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from davote import Correspondence, Form, ParameterError
-from davote.core import enumerate_strategies, winner_row
+from davote import Correspondence, Form, ParameterError, generate_correspondence
+from davote.core import CandidateSet, enumerate_strategies, winner_row
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -80,6 +80,70 @@ def count_intervals(p: int) -> tuple[CountInterval, CountInterval, CountInterval
         CountInterval(p - 1, (p * p - 3 * p + 6) // 2, "split-pair"),
         CountInterval((p * p - p + 2) // 2, p * (p + 1) // 2, "doubled"),
     )
+
+
+def random_resolution(p: int, alpha: int, beta: int, rng) -> Form:
+    """The (p, alpha, beta) correspondence with each tie broken by `rng`."""
+    h = generate_correspondence(p, alpha, beta)
+    cells = tuple(tuple(rng.choice(sorted(c)) for c in row) for row in h.cells)
+    return Form(candidates=p, cells=cells)
+
+
+def maximum_matching(adjacency: list[list[int]], n_right: int) -> list[int | None]:
+    """Match left vertices to right ones, maximizing the matched count.
+
+    Kuhn's per-vertex augmenting-path search, the reference for the
+    class matcher `davote.matching.match_column_classes`.  Returns
+    `match_left` with `match_left[i]` the right vertex matched to left
+    vertex i, or None.  Runs in O(V * E).  Augmenting paths are searched
+    depth first with an explicit stack, so path length is not bounded by
+    the interpreter's recursion limit.
+    """
+    match_left: list[int | None] = [None] * len(adjacency)
+    match_right: list[int | None] = [None] * n_right
+    for root in range(len(adjacency)):
+        seen = [False] * n_right
+        # One frame per left vertex on the current path, each holding its
+        # place in its own adjacency list; trying[d] is the right vertex
+        # that frame d is trying to take.
+        stack = [(root, iter(adjacency[root]))]
+        trying: list[int] = []
+        while stack:
+            for j in stack[-1][1]:
+                if not seen[j]:
+                    break
+            else:
+                stack.pop()
+                if trying:
+                    trying.pop()
+                continue
+            seen[j] = True
+            trying.append(j)
+            if match_right[j] is None:
+                for (left, _), right in zip(stack, trying):
+                    match_left[left] = right
+                    match_right[right] = left
+                break
+            stack.append((match_right[j], iter(adjacency[match_right[j]])))
+    return match_left
+
+
+def column_adjacency(cells, rows: list[tuple[CandidateSet, ...]]) -> list[list[int]]:
+    """Per form column, the strategies able to reproduce it under fixed rows.
+
+    `rows[i][t]` is the winner set of row i's label plus the t-th column
+    strategy; candidate t fits column j when every cell (i, j) lies in
+    ``rows[i][t]``.  Each list is in increasing t, keeping downstream
+    matchings deterministic.  Membership only constrains a column through
+    its content, so columns with equal content share one list.  The
+    reference for the fit masks of `davote.matching.match_column_classes`.
+    """
+    fits: dict[tuple, list[int]] = {col: [] for col in zip(*cells)}
+    for t, ams in enumerate(zip(*rows)):
+        for content, ts in fits.items():
+            if all(v in am for v, am in zip(content, ams)):
+                ts.append(t)
+    return [fits[col] for col in zip(*cells)]
 
 
 def count_perfect_matchings(adjacency: list[list[int]], n_right: int, cap: int = 1_000_000) -> int:

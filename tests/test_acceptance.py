@@ -32,6 +32,7 @@ from conftest import (
     corr,
     form,
     lu_counts,
+    random_resolution,
 )
 
 from davote.cli import main
@@ -81,12 +82,6 @@ def shuffle_with_perms(t, rng):
     rng.shuffle(rp)
     rng.shuffle(cp)
     return permute_tableau(t, rp, cp), rp, cp
-
-
-def random_resolution(p, alpha, beta, rng):
-    h = generate_correspondence(p, alpha, beta)
-    cells = tuple(tuple(rng.choice(sorted(c)) for c in row) for row in h.cells)
-    return Form(candidates=p, cells=cells)
 
 
 def plane(nt, axis, z):

@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import random
 import sys
+from itertools import combinations
 
 from davote import generate_correspondence, generate_form, permute_tableau
-from davote.core import Correspondence, argmax_set, enumerate_strategies, winner_row, winner_table
-from davote.matching import column_adjacency, lookup_columns, maximum_matching
-from conftest import count_perfect_matchings, equality_adjacency
+from davote.core import Correspondence, Form, argmax_set, enumerate_strategies, winner_row, winner_table
+from davote.matching import lookup_columns, match_column_classes
+from conftest import (
+    column_adjacency,
+    count_perfect_matchings,
+    equality_adjacency,
+    maximum_matching,
+    random_resolution,
+)
 
 
 class TestMaximumMatching:
@@ -160,3 +167,81 @@ class TestLookupColumns:
                 else:
                     assert got == want
         assert repeated and unlabeled
+
+
+def _check_labels(cells, rows, labels):
+    """Returned labels are distinct, fit their columns, and rise inside a class."""
+    adjacency = column_adjacency(cells, rows)
+    given = [t for t in labels if t is not None]
+    assert len(given) == len(set(given))
+    assert all(t is None or t in fits for t, fits in zip(labels, adjacency))
+    classes: dict[tuple, list[int]] = {}
+    for col, t in zip(zip(*cells), labels):
+        classes.setdefault(col, []).append(t)
+    for ts in classes.values():
+        given = [t for t in ts if t is not None]
+        assert given == sorted(given) and ts[: len(given)] == given
+
+
+class TestMatchColumnClasses:
+    def test_agrees_with_kuhn_on_random_instances(self):
+        rng = random.Random(17)
+        outcomes = set()
+        for _ in range(600):
+            p, k, n = rng.randint(2, 4), rng.randint(1, 4), rng.randint(1, 9)
+            subsets = [frozenset(s) for r in range(1, p + 1) for s in combinations(range(p), r)]
+            rows = [tuple(rng.choice(subsets) for _ in range(n)) for _ in range(k)]
+            # Columns drawn from a hidden bijection, so about half the
+            # instances have a perfect matching; some cells then move.
+            hidden = rng.sample(range(n), n)
+            cells = [[rng.choice(sorted(rows[i][t])) for t in hidden] for i in range(k)]
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                cells[rng.randrange(k)][rng.randrange(n)] = rng.randrange(p)
+            labels = match_column_classes(cells, rows)
+            want = maximum_matching(column_adjacency(cells, rows), n)
+            assert (None in labels) == (None in want), (cells, rows)
+            _check_labels(cells, rows, labels)
+            outcomes.add(None in labels)
+        assert outcomes == {True, False}
+
+    def test_agrees_with_kuhn_on_shuffled_and_perturbed_forms(self):
+        rng = random.Random(23)
+        outcomes = set()
+        for p, alpha, beta in [(3, 1, 4), (3, 2, 2), (3, 2, 5), (4, 1, 3), (3, 1, 9), (4, 2, 2)]:
+            _, ys, rows = winner_table(p, alpha, beta)
+            for trial in range(8):
+                cells = [list(row) for row in random_resolution(p, alpha, beta, rng).cells]
+                for _ in range(trial % 3):
+                    cells[rng.randrange(len(cells))][rng.randrange(len(ys))] = rng.randrange(p)
+                rp = rng.sample(range(len(rows)), len(rows))
+                cp = rng.sample(range(len(ys)), len(ys))
+                g = permute_tableau(Form(p, tuple(map(tuple, cells))), rp, cp)
+                labeled = [rows[r] for r in rp]
+                labels = match_column_classes(g.cells, labeled)
+                want = maximum_matching(column_adjacency(g.cells, labeled), len(ys))
+                assert (None in labels) == (None in want), (p, alpha, beta, trial)
+                _check_labels(g.cells, labeled, labels)
+                outcomes.add(None in labels)
+        assert outcomes == {True, False}
+
+    def test_augmenting_chain_across_more_classes_than_recursion_limit(self):
+        # Column j < n-1 (content j) fits strategies j and j+1, the last
+        # column (content n-1) only strategy 0.  The greedy fill gives
+        # column j strategy j, so the last column needs a chain through
+        # every other class.
+        n = sys.getrecursionlimit() + 500
+        row = tuple(
+            frozenset({t - 1, t} & set(range(n - 1))) | ({n - 1} if t == 0 else set())
+            for t in range(n)
+        )
+        labels = match_column_classes([list(range(n))], [row])
+        assert labels == list(range(1, n)) + [0]
+
+    def test_class_with_too_few_fitting_strategies_is_rejected(self):
+        # Content 0 fits strategies 0 and 1 only, but fills three columns.
+        rows = [(frozenset({0}), frozenset({0}), frozenset({1}), frozenset({1}))]
+        cells = [[0, 1, 0, 0]]
+        labels = match_column_classes(cells, rows)
+        assert None in labels
+        assert None in maximum_matching(column_adjacency(cells, rows), 4)
+        _check_labels(cells, rows, labels)

@@ -23,17 +23,18 @@ from davote import (
 from davote.core import enumerate_strategies, infer_parameters, labeling_generates, winner_row
 from davote import matching, recognizer
 from davote.recognizer import recognize_correspondence, recognize_form
-from davote.matching import column_adjacency
 from davote.oracle import oracle_recognize
 from conftest import (
     A,
     B,
     b_set,
+    column_adjacency,
     corr,
     count_perfect_matchings,
     equality_adjacency,
     form,
     lu_counts,
+    random_resolution,
 )
 
 
@@ -301,6 +302,14 @@ class TestRecognizeFormBehavior:
         assert (res.verdict, res.method) == (ACCEPTED, "lu-counting")
         assert labeling_generates(g, res.labeling)
 
+    def test_random_tie_form_with_many_columns_round_trips(self):
+        # A shuffled (3, 1, 60) form, 3 x 1891, with every tie broken at
+        # random, so its columns fall into content classes of mixed size.
+        g = shuffled(random_resolution(3, 1, 60, random.Random(60)), 1)
+        res = recognize_form(g)
+        assert (res.verdict, res.method) == (ACCEPTED, "lu-counting")
+        assert labeling_generates(g, res.labeling)
+
 
 class TestNewlyCoveredRegimes:
     # Every form has distinct rows here although neither weight is at
@@ -395,7 +404,7 @@ class TestTwoCandidates:
             (recognizer, "oracle_recognize"),
             (recognizer, "recognize_plurality_form"),
             (recognizer, "winner_table"),
-            (matching, "maximum_matching"),
+            (matching, "match_column_classes"),
         ]:
             monkeypatch.setattr(module, name, forbidden)
         instances = [Form(2, cells) for cells in self.grids((A, B), 4)]

@@ -23,7 +23,7 @@ from davote import (
 from davote.core import enumerate_strategies, labeling_generates, winner_table
 from davote.recognizer import _count_bounds, recognize_correspondence, recognize_form
 from davote.special import n_tableau_as_grid, plane_signature, recognize_n_tableau
-from conftest import A, B, count_intervals
+from conftest import A, B, count_intervals, random_resolution
 
 AB = frozenset({A, B})
 
@@ -69,12 +69,6 @@ class TestCountIntervals:
     def test_membership(self):
         low, _, top = count_intervals(3)
         assert 1 in low and 2 not in low and 5 in top
-
-
-def random_resolution(p, alpha, beta, rng):
-    h = generate_correspondence(p, alpha, beta)
-    cells = tuple(tuple(rng.choice(sorted(c)) for c in row) for row in h.cells)
-    return Form(candidates=p, cells=cells)
 
 
 def shuffle_form(g, rng):
