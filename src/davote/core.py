@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import math
 import string
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from operator import add
 
 __all__ = [
     "Candidate",
@@ -58,10 +61,15 @@ Candidate = int
 Strategy = tuple[int, ...]
 CandidateSet = frozenset[int]
 Signature = tuple[int, ...]
+# (row strategies, column strategies, winner set of every pair)
+WinnerTable = tuple[
+    tuple[Strategy, ...], tuple[Strategy, ...], tuple[tuple[CandidateSet, ...], ...]
+]
 
 TIE_RULES = ("min-index", "max-index")
 
 _MAX_CELLS = 10**7  # largest table a generator builds, checked up front
+_TABLE_CACHE = 16  # winner tables kept per process, least recently used dropped first
 
 
 class ParameterError(ValueError):
@@ -139,24 +147,29 @@ def argmax_set(z: Strategy) -> CandidateSet:
 
 def winner_row(x: Strategy, ys) -> tuple[CandidateSet, ...]:
     """Winner sets of x + y for each opponent strategy y in `ys`, in order."""
-    return tuple(argmax_set(tuple(a + b for a, b in zip(x, y))) for y in ys)
+    return tuple(argmax_set(tuple(map(add, x, y))) for y in ys)
 
 
-def winner_table(
-    p: int, alpha: int, beta: int
-) -> tuple[list[Strategy], list[Strategy], list[tuple[CandidateSet, ...]]]:
+@lru_cache(maxsize=_TABLE_CACHE)
+def winner_table(p: int, alpha: int, beta: int) -> WinnerTable:
     """Row strategies, column strategies and the winner set of every pair.
 
     `rows[i][j]` is the winner set of ``xs[i] + ys[j]``, the cell (i, j)
     of the generated correspondence.  Equal sets are one shared object,
     so the table holds at most ``2**p - 1`` distinct sets.
+
+    Tables are cached per ``(p, alpha, beta)``, the least recently used
+    dropped beyond a fixed bound, and every part is a tuple, so the
+    shared table cannot be changed by a caller.  The generators build a
+    fresh table through ``winner_table.__wrapped__`` and leave the cache
+    alone, since their tables are one-shot and may be very large.
     """
-    xs = enumerate_strategies(p, alpha)
-    ys = enumerate_strategies(p, beta)
+    xs = tuple(enumerate_strategies(p, alpha))
+    ys = tuple(enumerate_strategies(p, beta))
     interned: dict[CandidateSet, CandidateSet] = {}
-    rows = [
+    rows = tuple(
         tuple(interned.setdefault(am, am) for am in winner_row(x, ys)) for x in xs
-    ]
+    )
     return xs, ys, rows
 
 
@@ -259,8 +272,8 @@ def generate_correspondence(p: int, alpha: int, beta: int) -> Correspondence:
         strategy_count(p, alpha) * strategy_count(p, beta),
         f"the (p={p}, alpha={alpha}, beta={beta}) tableau",
     )
-    _, _, rows = winner_table(p, alpha, beta)
-    return Correspondence(candidates=p, cells=tuple(rows))
+    _, _, rows = winner_table.__wrapped__(p, alpha, beta)
+    return Correspondence(candidates=p, cells=rows)
 
 
 def generate_form(p: int, alpha: int, beta: int, tie_rule: str = "min-index") -> Form:
@@ -331,12 +344,12 @@ def row_signature(h: Correspondence | Form, i: int) -> Signature:
 def winner_counts(cells, p: int) -> Signature:
     """Per-candidate number of `cells` it wins; cells are winner sets or single winners."""
     counts = [0] * p
-    for cell in cells:
+    for cell, n in Counter(cells).items():
         if isinstance(cell, frozenset):
             for a in cell:
-                counts[a] += 1
+                counts[a] += n
         else:
-            counts[cell] += 1
+            counts[cell] += n
     return tuple(counts)
 
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import islice
+from operator import contains, eq
 
-from .core import CandidateSet, Correspondence, Form, Labeling, Strategy, labeling_generates
+from .core import CandidateSet, Correspondence, Form, Labeling, WinnerTable
 from .results import ACCEPTED, REJECTED, RecognitionResult
 
 __all__ = [
@@ -138,7 +139,7 @@ def lookup_columns(cells, rows: list[tuple[CandidateSet, ...]]) -> list[int | No
 def accept_row_labels(
     t: Correspondence | Form,
     method: str,
-    table: tuple[list[Strategy], list[Strategy], list[tuple[CandidateSet, ...]]],
+    table: WinnerTable,
     assignment: list[int],
 ) -> RecognitionResult:
     """Finish a recognition whose rows are labeled by strategy index.
@@ -147,7 +148,10 @@ def accept_row_labels(
     index of row i's strategy in it.  The rows must use distinct
     strategies, the columns must be labeled (by content lookup for a
     correspondence, by a perfect class matching for a form), and the
-    labeling must regenerate `t`.
+    labeling must regenerate `t`: every cell (i, j) must equal (for a
+    correspondence) or lie in (for a form) the table's winner set of
+    row i's strategy and column j's strategy.  That is the test of
+    `labeling_generates`, read from the table instead of recomputed.
     """
     xs, ys, rows = table
     uses = Counter(assignment)
@@ -168,9 +172,12 @@ def accept_row_labels(
         return RecognitionResult(
             REJECTED, method, witness="no perfect matching labels the columns"
         )
+    fits = eq if isinstance(t, Correspondence) else contains
+    for line, row in zip(t.cells, labeled):
+        # contains(winners, cell) is ``cell in winners``.
+        if not all(map(fits, map(row.__getitem__, match), line)):
+            return RecognitionResult(
+                REJECTED, method, witness="labeling fails to regenerate the input"
+            )
     labeling = Labeling(tuple(xs[xi] for xi in assignment), tuple(ys[m] for m in match))
-    if not labeling_generates(t, labeling):
-        return RecognitionResult(
-            REJECTED, method, witness="labeling fails to regenerate the input"
-        )
     return RecognitionResult(ACCEPTED, method, labeling=labeling)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import product
+import random
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -31,6 +32,8 @@ from davote.core import (
     signature_of_strategy,
     strategy_count,
     transpose_tableau,
+    winner_counts,
+    winner_table,
 )
 from conftest import A, B, corr, form
 
@@ -119,6 +122,58 @@ class TestGenerateCorrespondence:
             for j, y in enumerate(ys):
                 z = tuple(a + b for a, b in zip(x, y))
                 assert h.cells[i][j] == argmax_set(z)
+
+
+class TestWinnerTable:
+    def test_second_call_returns_the_same_table(self):
+        assert winner_table(3, 2, 3) is winner_table(3, 2, 3)
+
+    def test_parts_are_tuples(self):
+        xs, ys, rows = winner_table(3, 2, 3)
+        assert all(type(part) is tuple for part in (xs, ys, rows))
+        assert all(type(row) is tuple for row in rows)
+        assert xs == tuple(enumerate_strategies(3, 2))
+        assert ys == tuple(enumerate_strategies(3, 3))
+        assert rows == generate_correspondence(3, 2, 3).cells
+
+    def test_generation_leaves_the_cache_alone(self):
+        winner_table.cache_clear()
+        generate_correspondence(3, 2, 4)
+        generate_form(4, 2, 3, "max-index")
+        assert winner_table.cache_info().currsize == 0
+
+    def test_cache_holds_at_most_its_bound(self):
+        bound = winner_table.cache_info().maxsize
+        assert bound is not None
+        for beta in range(1, bound + 5):
+            winner_table(3, 1, beta)
+            assert winner_table.cache_info().currsize <= bound
+        assert winner_table.cache_info().currsize == bound
+
+
+def _plain_counts(cells, p):
+    counts = [0] * p
+    for cell in cells:
+        for a in cell if isinstance(cell, frozenset) else (cell,):
+            counts[a] += 1
+    return tuple(counts)
+
+
+class TestWinnerCounts:
+    @pytest.mark.parametrize("p,alpha,beta", [(3, 2, 3), (4, 2, 2), (5, 1, 3)])
+    def test_matches_a_plain_count(self, p, alpha, beta):
+        rng = random.Random(100 * p + 10 * alpha + beta)
+        subsets = [frozenset(s) for r in range(1, p + 1) for s in combinations(range(p), r)]
+        _, _, rows = winner_table(p, alpha, beta)
+        for row in rows:
+            # Equal winner sets are one object in the table, distinct
+            # objects when read from input.
+            unshared = tuple(frozenset(set(am)) for am in row)
+            assert len(set(map(id, unshared))) == len(row)
+            random_sets = tuple(rng.choice(subsets) for _ in row)
+            winners = tuple(rng.choice(sorted(am)) for am in row)
+            for cells in (row, unshared, random_sets, winners):
+                assert winner_counts(cells, p) == _plain_counts(cells, p)
 
 
 class TestGenerateForm:

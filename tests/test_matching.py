@@ -6,7 +6,10 @@ import random
 import sys
 from itertools import combinations
 
-from davote import generate_correspondence, generate_form, permute_tableau
+import pytest
+
+from davote import REJECTED, generate_correspondence, generate_form, permute_tableau, recognize_tableau
+from davote import matching
 from davote.core import Correspondence, Form, argmax_set, enumerate_strategies, winner_row, winner_table
 from davote.matching import lookup_columns, match_column_classes
 from conftest import (
@@ -245,3 +248,30 @@ class TestMatchColumnClasses:
         assert None in labels
         assert None in maximum_matching(column_adjacency(cells, rows), 4)
         _check_labels(cells, rows, labels)
+
+
+class TestAcceptRowLabels:
+    @pytest.mark.parametrize(
+        "t,matcher",
+        [
+            (generate_correspondence(3, 2, 2), "lookup_columns"),
+            (generate_form(3, 2, 2), "match_column_classes"),
+            (generate_form(3, 2, 5, "max-index"), "match_column_classes"),
+        ],
+    )
+    def test_wrong_column_labels_fail_regeneration(self, monkeypatch, t, matcher):
+        # The column stage hands out a permutation of the strategies, but
+        # not one that reproduces the input: only regeneration notices.
+        real = getattr(matching, matcher)
+        handed = []
+
+        def rotated(cells, rows):
+            labels = real(cells, rows)
+            handed.append(labels)
+            return labels[1:] + labels[:1]
+
+        monkeypatch.setattr(matching, matcher, rotated)
+        res = recognize_tableau(t)
+        assert handed and sorted(handed[0]) == list(range(t.cols))
+        assert res.verdict == REJECTED
+        assert res.witness == "labeling fails to regenerate the input"
