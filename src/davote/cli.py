@@ -19,7 +19,6 @@ from .core import (
     generate_correspondence,
     generate_form,
     permute_tableau,
-    strategy_count,
 )
 from .distinctness import (
     DEFAULT_MAX_EVALS,
@@ -122,13 +121,9 @@ def _cmd_check_distinct(args) -> int:
     if args.mode in ("direct", "both"):
         try:
             if args.what == "corr":
-                cells = strategy_count(p, alpha) * strategy_count(p, beta)
-                if cells > args.max_evals:
-                    raise SizeGuardError(
-                        f"direct mode would build a {cells}-cell table, over "
-                        f"the budget of {args.max_evals}"
-                    )
-                pairs = identical_correspondence_rows(p, alpha, beta)
+                pairs = identical_correspondence_rows(
+                    p, alpha, beta, max_evals=args.max_evals
+                )
             else:
                 pairs = empty_differentiating_pairs(
                     p, alpha, beta, max_evals=args.max_evals

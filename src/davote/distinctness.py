@@ -70,9 +70,19 @@ def correspondence_rows_distinct(p: int, alpha: int, beta: int) -> bool:
 
 
 def identical_correspondence_rows(
-    p: int, alpha: int, beta: int
+    p: int, alpha: int, beta: int, max_evals: int = DEFAULT_MAX_EVALS
 ) -> list[tuple[Strategy, Strategy]]:
-    """Row-strategy pairs whose correspondence rows coincide."""
+    """Row-strategy pairs whose correspondence rows coincide.
+
+    Raises `SizeGuardError`, before any table is built, when the table
+    would have more than `max_evals` cells.
+    """
+    cells = strategy_count(p, alpha) * strategy_count(p, beta)
+    if cells > max_evals:
+        raise SizeGuardError(
+            f"direct mode would build a {cells}-cell table, over "
+            f"the budget of {max_evals}"
+        )
     xs, _, rows = winner_table(p, alpha, beta)
     by_row: dict[tuple, list[Strategy]] = {}
     for x, row in zip(xs, rows):

@@ -24,7 +24,6 @@ from .core import (
     generate_correspondence,
     infer_parameters,
     row_signature,
-    signature_of_strategy,
 )
 
 __all__ = ["OracleReport", "oracle_recognize", "oracle_count_forms"]
@@ -81,8 +80,9 @@ def oracle_recognize(
     feasible: list[list[int]] = []
     if is_corr:
         sigs = {}
-        for xi, x in enumerate(xs):
-            sigs.setdefault(signature_of_strategy(x, p, beta), []).append(xi)
+        for xi in range(len(xs)):
+            sig = tuple(sum(a in s for s in am[xi]) for a in range(p))
+            sigs.setdefault(sig, []).append(xi)
         for i in range(k):
             feasible.append(list(sigs.get(row_signature(t, i), [])))
     else:

@@ -15,9 +15,10 @@ patterns, taken up to row and column permutations:
 * m3: four cells in one line (row or column) covering two candidates
   twice each.
 
-The greedy assignment labels a line with a candidate occurring at least
-twice in it; on pattern-free forms it extends uniquely (up to the
-arbitrary completion of untouched lines) to a full labeling.
+Recognition labels each row with the candidate it repeats (the greedy
+assignment) and finishes through the shared accept step,
+`matching.accept_row_labels`, over the ``(p, 1, 1)`` winner table,
+whose strategy v is candidate v.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Candidate, Form, Labeling, labeling_generates
+from .core import Candidate, Form, winner_table
+from .matching import accept_row_labels
 from .results import ACCEPTED, REJECTED, RecognitionResult
 
 __all__ = [
@@ -194,73 +196,25 @@ def greedy_assignment(g: Form) -> PartialAssignment:
 def recognize_plurality_form(g: Form) -> RecognitionResult:
     """Decide whether a p x p single-card form is distributed approval.
 
-    Accepts iff the greedy assignment extends to two full candidate
-    permutations regenerating the input; in that case the labeling (as
-    unit-vector strategies) is returned.  Otherwise the input embeds a
-    forbidden pattern, and the witness reports one.
+    Each row is labeled with the candidate it repeats, the only one that
+    can repeat in it; rows repeating nothing equal the column labels and
+    take the unused candidates in index order.  The shared accept step
+    matches the columns and checks regeneration (labels as unit-vector
+    strategies).  A rejection's witness is a forbidden pattern.
     """
     p = g.candidates
-
-    def rejection() -> RecognitionResult:
-        return RecognitionResult(
-            REJECTED, "plurality", witness=find_forbidden_submatrix(g)
-        )
-
     if g.rows != g.cols or g.rows != p:
         return RecognitionResult(
             REJECTED,
             "plurality",
             witness=f"single-card tableau must be {p} x {p}, got {g.rows} x {g.cols}",
         )
-
     ga = greedy_assignment(g)
-    if any(len(s) > 1 for s in ga.row_labels + ga.col_labels):
-        return rejection()
-    row_label = [next(iter(s)) if s else None for s in ga.row_labels]
-    col_label = [next(iter(s)) if s else None for s in ga.col_labels]
-    used_rows = [v for v in row_label if v is not None]
-    used_cols = [v for v in col_label if v is not None]
-    if len(set(used_rows)) != len(used_rows) or len(set(used_cols)) != len(used_cols):
-        return rejection()
-
-    uncovered = [
-        (i, j)
-        for i in range(p)
-        for j in range(p)
-        if g.cells[i][j] != row_label[i] and g.cells[i][j] != col_label[j]
-    ]
-    if len(uncovered) == 1:
-        i, j = uncovered[0]
-        v = g.cells[i][j]
-        occurrences = sum(row.count(v) for row in g.cells)
-        if (
-            occurrences != 1
-            or row_label[i] is not None
-            or col_label[j] is not None
-            or v in used_rows
-            or v in used_cols
-        ):
-            return rejection()
-        row_label[i] = v
-        col_label[j] = v
-    elif uncovered:
-        return rejection()
-
-    # Unlabeled lines are free; hand out the unused candidates in index
-    # order.  On pattern-free inputs any completion regenerates g.
-    for labels in (row_label, col_label):
-        unused = sorted(set(range(p)) - set(v for v in labels if v is not None))
-        holes = [t for t, v in enumerate(labels) if v is None]
-        for t, v in zip(holes, unused):
-            labels[t] = v
-
-    def unit(c: Candidate) -> tuple[int, ...]:
-        return tuple(1 if t == c else 0 for t in range(p))
-
-    labeling = Labeling(
-        row_labels=tuple(unit(v) for v in row_label),
-        col_labels=tuple(unit(v) for v in col_label),
-    )
-    if not labeling_generates(g, labeling):
-        return rejection()
-    return RecognitionResult(ACCEPTED, "plurality", labeling=labeling)
+    if all(len(s) <= 1 for s in ga.row_labels + ga.col_labels):
+        labels = [min(s, default=None) for s in ga.row_labels]
+        unused = iter(sorted(set(range(p)).difference(labels)))
+        labels = [next(unused) if v is None else v for v in labels]
+        res = accept_row_labels(g, "plurality", winner_table(p, 1, 1), labels)
+        if res.verdict == ACCEPTED:
+            return res
+    return RecognitionResult(REJECTED, "plurality", witness=find_forbidden_submatrix(g))

@@ -10,7 +10,7 @@ from davote import (
     correspondence_rows_distinct,
     generate_correspondence,
 )
-from davote.core import enumerate_all_forms, enumerate_strategies
+from davote.core import enumerate_all_forms, enumerate_strategies, winner_table
 from davote.distinctness import (
     all_forms_rows_distinct_direct,
     differentiating_set,
@@ -134,6 +134,12 @@ class TestAllFormsDistinctness:
             all_forms_rows_distinct_direct(4, 3, 3, max_evals=100)
         with pytest.raises(SizeGuardError):
             empty_differentiating_pairs(4, 3, 3, max_evals=100)
+        # The correspondence scan checks its guard before building the table.
+        before = winner_table.cache_info()
+        with pytest.raises(SizeGuardError, match="direct mode would build a 400-cell"):
+            identical_correspondence_rows(4, 3, 3, max_evals=100)
+        after = winner_table.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 class TestNeighborReduction:

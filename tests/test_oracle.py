@@ -30,7 +30,8 @@ def test_oracle_builds_its_own_outcome_grid():
     # The oracle cross-checks the polynomial recognizers, so it must not
     # read winner sets from the table they share.
     source = inspect.getsource(davote.oracle)
-    for name in ("winner_table", "winner_row", "_count_bounds"):
+    banned = ("winner_table", "winner_row", "_count_bounds", "signature_of_strategy")
+    for name in banned:
         assert name not in source
         assert not hasattr(davote.oracle, name)
 

@@ -136,7 +136,7 @@ class TestRecognizePluralityForm:
         assert "must be" in res.witness
 
     def test_round_trip_with_shuffles(self):
-        for p in (2, 3, 4, 5, 6):
+        for p in (2, 3, 4, 5, 6, 12, 26):
             h = generate_correspondence(p, 1, 1)
             rng = random.Random(11 * p)
             for _ in range(6):
@@ -169,5 +169,6 @@ class TestRecognizePluralityForm:
             g = Form(candidates=3, cells=cells)
             fast = recognize_plurality_form(g)
             assert (fast.verdict == ACCEPTED) == oracle_recognize(g).is_dav
-            if fast.verdict == REJECTED and isinstance(fast.witness, ForbiddenWitness):
+            if fast.verdict == REJECTED:
+                assert isinstance(fast.witness, ForbiddenWitness)
                 check_witness(g, fast.witness)
