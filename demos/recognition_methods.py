@@ -31,7 +31,7 @@ show("p=3, alpha=1, beta=3 (form)", recognize_form(generate_form(3, 1, 3)))
 # The mirrored regime transposes first, then runs the same counting.
 show("p=3, alpha=3, beta=1 (form)", recognize_form(generate_form(3, 3, 1)))
 
-# One card each: forbidden-pattern scan plus a greedy labeling.
+# One card each: winner-count row labels, forbidden patterns as witnesses.
 show("p=4, alpha=beta=1 (form)", recognize_form(generate_form(4, 1, 1)))
 
 # Two cards each: rows are still always distinct, so the same counting

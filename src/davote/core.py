@@ -47,7 +47,6 @@ __all__ = [
     "generate_correspondence",
     "generate_form",
     "enumerate_all_forms",
-    "signature_of_strategy",
     "row_signature",
     "winner_counts",
     "infer_parameters",
@@ -317,18 +316,6 @@ def enumerate_all_forms(p: int, alpha: int, beta: int, cap: int = 10_000) -> lis
         )
         forms.append(Form(candidates=p, cells=cells))
     return forms
-
-
-def signature_of_strategy(x: Strategy, p: int, beta: int) -> Signature:
-    """Per-candidate count of opponent strategies that keep it winning.
-
-    Entry a is the number of weight-`beta` strategies y for which
-    candidate a belongs to the argmax set of x + y.
-    """
-    _check_params(p, beta)
-    if len(x) != p or sum(x) < 1 or any(v < 0 for v in x):
-        raise ParameterError(f"{x!r} is not a valid strategy over {p} candidates")
-    return winner_counts(winner_row(x, enumerate_strategies(p, beta)), p)
 
 
 def row_signature(h: Correspondence | Form, i: int) -> Signature:

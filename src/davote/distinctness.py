@@ -19,7 +19,6 @@ from .core import (
     ParameterError,
     SizeGuardError,
     Strategy,
-    argmax_set,
     enumerate_strategies,
     strategy_count,
     winner_row,
@@ -34,7 +33,6 @@ __all__ = [
     "all_forms_rows_distinct",
     "all_forms_rows_distinct_direct",
     "empty_differentiating_pairs",
-    "neighbor_reduction_check",
 ]
 
 DEFAULT_MAX_EVALS = 1_000_000
@@ -183,74 +181,3 @@ def empty_differentiating_pairs(
             if not any(am.isdisjoint(am_p) for am, am_p in zip(rows[i], rows[j])):
                 out.append((xs[i], xs[j]))
     return out
-
-
-def neighbor_reduction_check(
-    p: int,
-    alpha: int,
-    beta: int,
-    max_evals: int = DEFAULT_MAX_EVALS,
-) -> bool:
-    """Verify the card-move reduction on one parameter point.
-
-    For every ordered pair of distinct row strategies (x, x') and every
-    single-card move of x' toward x (one card from a candidate where x'
-    exceeds x onto one where x exceeds x', both drawn from the argmax of
-    the difference), the differentiating set may only shrink:
-    D(x, moved) is contained in D(x, x').  For p >= 3 the check also
-    confirms that a differentiating column y for a single-card-move pair
-    forces the two winner sets to be exactly the singletons {a} and {b}
-    of the moved card's endpoints.
-
-    Returns True when no counterexample exists.
-    """
-    k = strategy_count(p, alpha)
-    n_cols = strategy_count(p, beta)
-    # Differentiating sets are memoized per ordered pair, so the work is
-    # bounded by k^2 set computations of n_cols evaluations each.
-    if k * k * n_cols > max_evals:
-        raise SizeGuardError(
-            f"reduction check for p={p}, alpha={alpha}, beta={beta} needs about "
-            f"{k * k * n_cols} evaluations, over the budget of {max_evals}"
-        )
-    xs, _, rows = winner_table(p, alpha, beta)
-    am_rows = dict(zip(xs, rows))
-    memo: dict[tuple[Strategy, Strategy], frozenset[int]] = {}
-
-    def dset(x: Strategy, xp: Strategy) -> frozenset[int]:
-        key = (x, xp)
-        got = memo.get(key)
-        if got is None:
-            row, row_p = am_rows[x], am_rows[xp]
-            got = frozenset(
-                t for t, (am, am_p) in enumerate(zip(row, row_p)) if am.isdisjoint(am_p)
-            )
-            memo[key] = got
-        return got
-
-    for x in xs:
-        for xp in xs:
-            if x == xp:
-                continue
-            base = dset(x, xp)
-            diff = [x[c] - xp[c] for c in range(p)]
-            gains = argmax_set(tuple(diff))
-            losses = argmax_set(tuple(-d for d in diff))
-            for a in gains:
-                for b in losses:
-                    moved = list(xp)
-                    moved[a] += 1
-                    moved[b] -= 1
-                    if not dset(x, tuple(moved)) <= base:
-                        return False
-
-    if p >= 3:
-        for x, xp in _neighbor_pairs(xs, p):
-            # x has one extra card on a and one fewer on b than xp.
-            a = next(c for c in range(p) if x[c] > xp[c])
-            b = next(c for c in range(p) if x[c] < xp[c])
-            row, row_p = am_rows[x], am_rows[xp]
-            for t in dset(x, xp):
-                if row[t] != frozenset({a}) or row_p[t] != frozenset({b}):
-                    return False
-    return True

@@ -1,30 +1,33 @@
-"""Column-label recovery and the accept step shared by the recognizers.
+"""Row and column labeling and the accept step shared by the recognizers.
 
-A correspondence column is labeled by looking up its content.  Form
-columns are matched to strategies as content classes: columns with
-equal content fit the same strategies, so each class is one vertex with
-a multiplicity, and the fit of a class is one bitmask (bit t set when
-strategy t fits).  Labeling the columns is then a b-matching of classes
-to strategies: a greedy fill, then shortest augmenting chains found
-breadth first, as in Hopcroft & Karp (SIAM J. Comput. 2(4), 1973), one
-chain at a time for the classes left short.  Classes are taken in order
-of their first column and strategies in increasing index, so results
-are deterministic for a fixed input.
+Form rows are labeled by per-candidate winner counts, on the
+winner-count route and for single-card forms alike.  A correspondence
+column is labeled by looking up its content.  Form columns are matched
+to strategies as content classes: columns with equal content fit the
+same strategies, so each class is one vertex with a multiplicity, and
+the fit of a class is one bitmask (bit t set when strategy t fits).
+Labeling the columns is then a b-matching of classes to strategies: a
+greedy fill, then shortest augmenting chains found breadth first, as in
+Hopcroft & Karp (SIAM J. Comput. 2(4), 1973), one chain at a time for
+the classes left short.  Classes are taken in order of their first
+column and strategies in increasing index, so results are deterministic
+for a fixed input.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import islice
-from operator import contains, eq
+from operator import contains, eq, le
 
-from .core import CandidateSet, Correspondence, Form, Labeling, WinnerTable
+from .core import CandidateSet, Correspondence, Form, Labeling, WinnerTable, winner_counts
 from .results import ACCEPTED, REJECTED, RecognitionResult
 
 __all__ = [
     "match_column_classes",
     "lookup_columns",
     "accept_row_labels",
+    "accept_counted_rows",
 ]
 
 
@@ -181,3 +184,56 @@ def accept_row_labels(
             )
     labeling = Labeling(tuple(xs[xi] for xi in assignment), tuple(ys[m] for m in match))
     return RecognitionResult(ACCEPTED, method, labeling=labeling)
+
+
+def _count_bounds(row: tuple[CandidateSet, ...], p: int) -> tuple[list[int], list[int]]:
+    """Per-candidate winner-count bounds of a form row over a correspondence row.
+
+    Candidate a must win at least the cells whose winner set is {a} and
+    at most the cells whose winner set holds a.
+    """
+    lo, hi = [0] * p, [0] * p
+    for am, n in Counter(row).items():
+        for a in am:
+            hi[a] += n
+        if len(am) == 1:
+            lo[a] += n
+    return lo, hi
+
+
+def accept_counted_rows(g: Form, method: str, table: WinnerTable) -> RecognitionResult:
+    """Label the rows of form `g` by winner counts, then `accept_row_labels`.
+
+    Row i fits strategy x when each candidate's count in it lies within
+    the `_count_bounds` of x's table row; a row that fits none rejects
+    `g`.  A row that fits one strategy takes it.  Rows that fit several
+    take, in row order, the lowest fitting strategy no other row holds
+    yet, or the lowest fitting one if all are held (the duplicate check
+    then rejects).  Where every form has distinct rows, no row fits two.
+    """
+    p = g.candidates
+    bounds = [_count_bounds(row, p) for row in table[2]]
+    fits: list[list[int]] = []
+    for i, line in enumerate(g.cells):
+        counts = winner_counts(line, p)
+        # Upper bounds first: they rule out most strategies sooner.
+        fit = [
+            xi
+            for xi, (lo, hi) in enumerate(bounds)
+            if all(map(le, counts, hi)) and all(map(le, lo, counts))
+        ]
+        if not fit:
+            return RecognitionResult(
+                REJECTED,
+                method,
+                witness=f"row {i} winner counts {list(counts)} fit the bounds of "
+                "0 strategies instead of exactly one",
+            )
+        fits.append(fit)
+    held = {fit[0] for fit in fits if len(fit) == 1}
+    assignment = []
+    for fit in fits:
+        xi = fit[0] if len(fit) == 1 else next((x for x in fit if x not in held), fit[0])
+        held.add(xi)
+        assignment.append(xi)
+    return accept_row_labels(g, method, table, assignment)

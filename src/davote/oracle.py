@@ -18,6 +18,7 @@ from .core import (
     Form,
     Labeling,
     NoParametersError,
+    ParameterError,
     SizeGuardError,
     argmax_set,
     enumerate_strategies,
@@ -54,9 +55,12 @@ def oracle_recognize(
 ) -> OracleReport:
     """Decide a small tableau by backtracking over labelings.
 
-    Raises `SizeGuardError` when the tableau has more than `max_cells`
-    cells.  The verdict is exact; the labeling count stops at `cap`.
+    Raises `ParameterError` when `cap` is below 1, and `SizeGuardError`
+    when the tableau has more than `max_cells` cells.  The verdict is
+    exact; the labeling count stops at `cap`.
     """
+    if cap < 1:
+        raise ParameterError(f"labeling cap must be >= 1, got {cap}")
     k, n_cols = t.rows, t.cols
     if k * n_cols > max_cells:
         raise SizeGuardError(

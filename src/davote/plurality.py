@@ -15,10 +15,12 @@ patterns, taken up to row and column permutations:
 * m3: four cells in one line (row or column) covering two candidates
   twice each.
 
-Recognition labels each row with the candidate it repeats (the greedy
-assignment) and finishes through the shared accept step,
-`matching.accept_row_labels`, over the ``(p, 1, 1)`` winner table,
-whose strategy v is candidate v.
+Recognition runs the winner-count row stage shared with the other form
+routes, `matching.accept_counted_rows`, over the ``(p, 1, 1)`` winner
+table, whose strategy v is candidate v: a row repeating only v fits
+only v, a row repeating nothing fits every candidate, and a row
+repeating two candidates fits none.  Every rejection is explained by a
+forbidden pattern.
 """
 
 from __future__ import annotations
@@ -27,18 +29,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import Candidate, Form, winner_table
-from .matching import accept_row_labels
+from .matching import accept_counted_rows
 from .results import ACCEPTED, REJECTED, RecognitionResult
 
 __all__ = [
     "ForbiddenWitness",
-    "PartialAssignment",
     "find_forbidden_submatrix",
-    "greedy_assignment",
     "recognize_plurality_form",
 ]
-
-PATTERN_ORDER = ("m2", "m1", "m3")
 
 
 @dataclass(frozen=True)
@@ -64,18 +62,6 @@ class ForbiddenWitness:
 
         syms = ", ".join(f"{k}={nm(v)}" for k, v in sorted(self.symbols.items()))
         return f"{self.pattern} at rows {self.rows}, cols {self.cols} with {syms}"
-
-
-@dataclass(frozen=True)
-class PartialAssignment:
-    """Labels forced by double occurrences, one set per line.
-
-    On pattern-free forms every set has at most one member; multi-member
-    sets only arise together with a forbidden pattern.
-    """
-
-    row_labels: tuple[frozenset[Candidate], ...]
-    col_labels: tuple[frozenset[Candidate], ...]
 
 
 def _find_m2(cells) -> ForbiddenWitness | None:
@@ -153,52 +139,22 @@ def _find_m3(cells) -> ForbiddenWitness | None:
     return None
 
 
-_FINDERS = {"m1": _find_m1, "m2": _find_m2, "m3": _find_m3}
-
-
-def find_forbidden_submatrix(
-    g: Form, patterns: tuple[str, ...] = PATTERN_ORDER
-) -> ForbiddenWitness | None:
+def find_forbidden_submatrix(g: Form) -> ForbiddenWitness | None:
     """First forbidden pattern embedded in `g`, or None.
 
-    Patterns are tried in the given order; within one pattern the
+    Patterns are tried in the order m2, m1, m3; within one pattern the
     witness is the lexicographically least embedding (row indices, then
     column indices, equal-diagonal orientation first).
     """
-    for name in patterns:
-        if name not in _FINDERS:
-            raise ValueError(f"unknown pattern {name!r}")
-        hit = _FINDERS[name](g.cells)
-        if hit:
-            return hit
-    return None
-
-
-def greedy_assignment(g: Form) -> PartialAssignment:
-    """Label every line with the candidates it repeats."""
-
-    def doubled(line) -> frozenset[Candidate]:
-        seen: set[Candidate] = set()
-        out: set[Candidate] = set()
-        for v in line:
-            if v in seen:
-                out.add(v)
-            seen.add(v)
-        return frozenset(out)
-
-    rows = tuple(doubled(row) for row in g.cells)
-    cols = tuple(
-        doubled([g.cells[i][j] for i in range(g.rows)]) for j in range(g.cols)
-    )
-    return PartialAssignment(rows, cols)
+    return _find_m2(g.cells) or _find_m1(g.cells) or _find_m3(g.cells)
 
 
 def recognize_plurality_form(g: Form) -> RecognitionResult:
     """Decide whether a p x p single-card form is distributed approval.
 
-    Each row is labeled with the candidate it repeats, the only one that
-    can repeat in it; rows repeating nothing equal the column labels and
-    take the unused candidates in index order.  The shared accept step
+    The rows are labeled by their winner counts, which pin each row
+    repeating a candidate to that candidate and give the rows repeating
+    nothing the unused candidates in index order; the shared accept step
     matches the columns and checks regeneration (labels as unit-vector
     strategies).  A rejection's witness is a forbidden pattern.
     """
@@ -209,12 +165,7 @@ def recognize_plurality_form(g: Form) -> RecognitionResult:
             "plurality",
             witness=f"single-card tableau must be {p} x {p}, got {g.rows} x {g.cols}",
         )
-    ga = greedy_assignment(g)
-    if all(len(s) <= 1 for s in ga.row_labels + ga.col_labels):
-        labels = [min(s, default=None) for s in ga.row_labels]
-        unused = iter(sorted(set(range(p)).difference(labels)))
-        labels = [next(unused) if v is None else v for v in labels]
-        res = accept_row_labels(g, "plurality", winner_table(p, 1, 1), labels)
-        if res.verdict == ACCEPTED:
-            return res
+    res = accept_counted_rows(g, "plurality", winner_table(p, 1, 1))
+    if res.verdict == ACCEPTED:
+        return res
     return RecognitionResult(REJECTED, "plurality", witness=find_forbidden_submatrix(g))

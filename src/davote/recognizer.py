@@ -12,18 +12,15 @@ orientation: a row labeled x wins candidate a in at least the cells
 where a wins alone under x and at most the cells where a is among the
 winners.  In that regime these per-candidate bounds of two distinct
 strategies are disjoint on some candidate, so they isolate a unique
-strategy per row.  Single-card forms go to the forbidden-pattern
-recognizer, the rest to the exhaustive oracle when small enough;
+strategy per row.  Single-card forms run through the same row stage
+(`matching.accept_counted_rows`) and explain a rejection by a forbidden
+pattern; the rest go to the exhaustive oracle when small enough;
 anything else is reported as undecided rather than guessed.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from operator import le
-
 from .core import (
-    CandidateSet,
     Correspondence,
     Form,
     Labeling,
@@ -35,7 +32,7 @@ from .core import (
     winner_table,
 )
 from .distinctness import all_forms_rows_distinct
-from .matching import accept_row_labels
+from .matching import accept_counted_rows, accept_row_labels
 from .oracle import DEFAULT_MAX_CELLS, oracle_recognize
 from .plurality import recognize_plurality_form
 from .results import ACCEPTED, REJECTED, UNDECIDED, RecognitionResult
@@ -114,46 +111,6 @@ def recognize_correspondence(h: Correspondence) -> RecognitionResult:
     return accept_row_labels(h, method, table, assignment)
 
 
-def _count_bounds(row: tuple[CandidateSet, ...], p: int) -> tuple[list[int], list[int]]:
-    """Per-candidate winner-count bounds of a form row over a correspondence row.
-
-    Candidate a must win at least the cells whose winner set is {a} and
-    at most the cells whose winner set holds a.
-    """
-    lo, hi = [0] * p, [0] * p
-    for am, n in Counter(row).items():
-        for a in am:
-            hi[a] += n
-        if len(am) == 1:
-            lo[a] += n
-    return lo, hi
-
-
-def _recognize_form_lu(g: Form, p: int, alpha: int, beta: int) -> RecognitionResult:
-    """Winner-count route, valid for p >= 3 where every form has distinct rows."""
-    method = "lu-counting"
-    table = _, _, rows = winner_table(p, alpha, beta)
-    bounds = [_count_bounds(row, p) for row in rows]
-
-    assignment: list[int] = []
-    for i in range(g.rows):
-        counts = row_signature(g, i)
-        fits = [
-            xi
-            for xi, (lo, hi) in enumerate(bounds)
-            if all(map(le, lo, counts)) and all(map(le, counts, hi))
-        ]
-        if len(fits) != 1:
-            return RecognitionResult(
-                REJECTED,
-                method,
-                witness=f"row {i} winner counts {list(counts)} fit the bounds of "
-                f"{len(fits)} strategies instead of exactly one",
-            )
-        assignment.append(fits[0])
-    return accept_row_labels(g, method, table, assignment)
-
-
 def recognize_form(g: Form, oracle_cells: int = DEFAULT_MAX_CELLS) -> RecognitionResult:
     """Decide whether a single-winner tableau is a distributed approval form.
 
@@ -161,10 +118,11 @@ def recognize_form(g: Form, oracle_cells: int = DEFAULT_MAX_CELLS) -> Recognitio
 
     1. p = 2: plane ranking, for any card total;
     2. every (p, alpha, beta) form has distinct rows: per-candidate
-       winner-count bounds per row;
+       winner-count bounds per row (`matching.accept_counted_rows`);
     3. every (p, beta, alpha) form has distinct rows: the same after
        transposing;
-    4. alpha = beta = 1: forbidden-pattern recognition;
+    4. alpha = beta = 1: the same winner-count row stage, with a
+       forbidden pattern as the witness of a rejection;
     5. anything else: the oracle when at most `oracle_cells` cells,
        otherwise undecided.
     """
@@ -177,10 +135,12 @@ def recognize_form(g: Form, oracle_cells: int = DEFAULT_MAX_CELLS) -> Recognitio
     if p == 2:
         return _recognize_two_candidates(g, alpha, beta)
     if all_forms_rows_distinct(p, alpha, beta):
-        return _recognize_form_lu(g, p, alpha, beta)
+        return accept_counted_rows(g, "lu-counting", winner_table(p, alpha, beta))
     if all_forms_rows_distinct(p, beta, alpha):
         return _swap_labeling(
-            _recognize_form_lu(transpose_tableau(g), p, beta, alpha)
+            accept_counted_rows(
+                transpose_tableau(g), "lu-counting", winner_table(p, beta, alpha)
+            )
         )
     if alpha == 1 and beta == 1:
         return recognize_plurality_form(g)

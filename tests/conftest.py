@@ -13,8 +13,26 @@ from dataclasses import dataclass
 
 import pytest
 
-from davote import Correspondence, Form, ParameterError, generate_correspondence
-from davote.core import CandidateSet, enumerate_strategies, winner_row
+from davote import (
+    Correspondence,
+    Form,
+    ParameterError,
+    SizeGuardError,
+    generate_correspondence,
+)
+from davote.core import (
+    CandidateSet,
+    Signature,
+    Strategy,
+    _check_params,
+    argmax_set,
+    enumerate_strategies,
+    strategy_count,
+    winner_counts,
+    winner_row,
+    winner_table,
+)
+from davote.distinctness import DEFAULT_MAX_EVALS, _neighbor_pairs
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -50,6 +68,89 @@ def lu_counts(x, b, p: int, beta: int) -> tuple[int, int]:
     """
     winners = winner_row(x, enumerate_strategies(p, beta))
     return sum(1 for am in winners if am <= b), sum(1 for am in winners if am & b)
+
+
+def signature_of_strategy(x: Strategy, p: int, beta: int) -> Signature:
+    """Per-candidate count of opponent strategies that keep it winning.
+
+    Entry a is the number of weight-`beta` strategies y for which
+    candidate a belongs to the argmax set of x + y.
+    """
+    _check_params(p, beta)
+    if len(x) != p or sum(x) < 1 or any(v < 0 for v in x):
+        raise ParameterError(f"{x!r} is not a valid strategy over {p} candidates")
+    return winner_counts(winner_row(x, enumerate_strategies(p, beta)), p)
+
+
+def neighbor_reduction_check(
+    p: int,
+    alpha: int,
+    beta: int,
+    max_evals: int = DEFAULT_MAX_EVALS,
+) -> bool:
+    """Verify the card-move reduction on one parameter point.
+
+    For every ordered pair of distinct row strategies (x, x') and every
+    single-card move of x' toward x (one card from a candidate where x'
+    exceeds x onto one where x exceeds x', both drawn from the argmax of
+    the difference), the differentiating set may only shrink:
+    D(x, moved) is contained in D(x, x').  For p >= 3 the check also
+    confirms that a differentiating column y for a single-card-move pair
+    forces the two winner sets to be exactly the singletons {a} and {b}
+    of the moved card's endpoints.
+
+    Returns True when no counterexample exists.
+    """
+    k = strategy_count(p, alpha)
+    n_cols = strategy_count(p, beta)
+    # Differentiating sets are memoized per ordered pair, so the work is
+    # bounded by k^2 set computations of n_cols evaluations each.
+    if k * k * n_cols > max_evals:
+        raise SizeGuardError(
+            f"reduction check for p={p}, alpha={alpha}, beta={beta} needs about "
+            f"{k * k * n_cols} evaluations, over the budget of {max_evals}"
+        )
+    xs, _, rows = winner_table(p, alpha, beta)
+    am_rows = dict(zip(xs, rows))
+    memo: dict[tuple[Strategy, Strategy], frozenset[int]] = {}
+
+    def dset(x: Strategy, xp: Strategy) -> frozenset[int]:
+        key = (x, xp)
+        got = memo.get(key)
+        if got is None:
+            row, row_p = am_rows[x], am_rows[xp]
+            got = frozenset(
+                t for t, (am, am_p) in enumerate(zip(row, row_p)) if am.isdisjoint(am_p)
+            )
+            memo[key] = got
+        return got
+
+    for x in xs:
+        for xp in xs:
+            if x == xp:
+                continue
+            base = dset(x, xp)
+            diff = [x[c] - xp[c] for c in range(p)]
+            gains = argmax_set(tuple(diff))
+            losses = argmax_set(tuple(-d for d in diff))
+            for a in gains:
+                for b in losses:
+                    moved = list(xp)
+                    moved[a] += 1
+                    moved[b] -= 1
+                    if not dset(x, tuple(moved)) <= base:
+                        return False
+
+    if p >= 3:
+        for x, xp in _neighbor_pairs(xs, p):
+            # x has one extra card on a and one fewer on b than xp.
+            a = next(c for c in range(p) if x[c] > xp[c])
+            b = next(c for c in range(p) if x[c] < xp[c])
+            row, row_p = am_rows[x], am_rows[xp]
+            for t in dset(x, xp):
+                if row[t] != frozenset({a}) or row_p[t] != frozenset({b}):
+                    return False
+    return True
 
 
 @dataclass(frozen=True)

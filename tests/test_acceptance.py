@@ -32,7 +32,9 @@ from conftest import (
     corr,
     form,
     lu_counts,
+    neighbor_reduction_check,
     random_resolution,
+    signature_of_strategy,
 )
 
 from davote.cli import main
@@ -44,7 +46,6 @@ from davote.core import (
     generate_form,
     labeling_generates,
     permute_tableau,
-    signature_of_strategy,
     strategy_count,
     winner_table,
 )
@@ -54,12 +55,11 @@ from davote.distinctness import (
     correspondence_rows_distinct,
     empty_differentiating_pairs,
     identical_correspondence_rows,
-    neighbor_reduction_check,
 )
+from davote.matching import _count_bounds
 from davote.oracle import oracle_recognize
-from davote.plurality import find_forbidden_submatrix, recognize_plurality_form
+from davote.plurality import _find_m1, _find_m2, _find_m3, recognize_plurality_form
 from davote.recognizer import (
-    _count_bounds,
     recognize_correspondence,
     recognize_form,
     recognize_tableau,
@@ -324,13 +324,15 @@ def test_07_plurality_exhaustive():
         assert fast == oracle_recognize(g).is_dav, g.cells
 
     expected = {"m1": BAD_M1_ROWS, "m2": BAD_M2_ROWS, "m3": BAD_M3_ROWS}
+    finders = {"m1": _find_m1, "m2": _find_m2, "m3": _find_m3}
     for name, rows in expected.items():
         g = form(3 if name != "m3" else 4, rows)
         res = recognize_plurality_form(g)
         assert res.verdict == REJECTED
         assert res.witness.pattern == name
-        others = tuple(n for n in expected if n != name)
-        assert find_forbidden_submatrix(g, patterns=others) is None, name
+        for other, find in finders.items():
+            if other != name:
+                assert find(g.cells) is None, name
     assert time.monotonic() - t0 < 60.0
 
 

@@ -287,6 +287,15 @@ class TestOracle:
         code, out, err = run(capsys, ["oracle", str(target), "--max-cells", "121"])
         assert code == 0
 
+    def test_count_cap_below_one_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "t.json"
+        target.write_text(dumps_tableau(generate_form(3, 1, 1)))
+        code, out, err = run(capsys, ["oracle", str(target), "--count-cap", "0"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "cap" in err
+
     def test_two_voter_tableau_is_bridged(self, capsys, tmp_path):
         target = tmp_path / "nt.json"
         target.write_text(dumps_tableau(generate_n_tableau((2, 2))))

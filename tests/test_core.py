@@ -29,13 +29,12 @@ from davote.core import (
     infer_parameters,
     labeling_generates,
     row_signature,
-    signature_of_strategy,
     strategy_count,
     transpose_tableau,
     winner_counts,
     winner_table,
 )
-from conftest import A, B, corr, form
+from conftest import A, B, corr, form, signature_of_strategy
 
 params = st.tuples(st.integers(2, 4), st.integers(1, 5))
 

@@ -16,8 +16,8 @@ from davote.distinctness import (
     differentiating_set,
     empty_differentiating_pairs,
     identical_correspondence_rows,
-    neighbor_reduction_check,
 )
+from conftest import neighbor_reduction_check
 
 SMALL_GRID = [
     (p, a, b) for p in (2, 3, 4) for a in (1, 2, 3, 4) for b in (1, 2, 3, 4)

@@ -8,11 +8,14 @@ from itertools import combinations
 
 import pytest
 
-from davote import REJECTED, generate_correspondence, generate_form, permute_tableau, recognize_tableau
+from davote import ACCEPTED, REJECTED, generate_correspondence, generate_form, permute_tableau, recognize_tableau
 from davote import matching
 from davote.core import Correspondence, Form, argmax_set, enumerate_strategies, winner_row, winner_table
-from davote.matching import lookup_columns, match_column_classes
+from davote.matching import accept_counted_rows, lookup_columns, match_column_classes
 from conftest import (
+    A,
+    B,
+    C,
     column_adjacency,
     count_perfect_matchings,
     equality_adjacency,
@@ -275,3 +278,34 @@ class TestAcceptRowLabels:
         assert handed and sorted(handed[0]) == list(range(t.cols))
         assert res.verdict == REJECTED
         assert res.witness == "labeling fails to regenerate the input"
+
+
+class TestAcceptCountedRows:
+    def test_rows_fitting_several_strategies_take_free_ones_in_row_order(self):
+        # Rows 0 and 2 repeat nothing, so they fit every single-card
+        # strategy; row 1 repeats B and holds it.  Row 0 then takes A,
+        # row 2 the C left over.
+        g = Form(candidates=3, cells=((B, C, A), (B, B, B), (B, C, A)))
+        res = accept_counted_rows(g, "plurality", winner_table(3, 1, 1))
+        assert res.verdict == ACCEPTED
+        assert res.labeling.row_labels == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def test_row_with_every_fit_held_takes_its_lowest(self):
+        # Three rows over the two strategies of the (2, 1, 1) table, each
+        # fitting both: the third takes strategy 0 again.
+        g = Form(candidates=2, cells=((A, B), (A, B), (A, B)))
+        res = accept_counted_rows(g, "plurality", winner_table(2, 1, 1))
+        assert res.verdict == REJECTED
+        assert res.witness == "rows 0 and 2 both map to strategy (1, 0)"
+
+    def test_row_fitting_no_strategy_is_the_witness(self):
+        cells = [list(row) for row in generate_form(3, 1, 2).cells]
+        cells[1] = [A] * len(cells[1])
+        g = Form(candidates=3, cells=tuple(map(tuple, cells)))
+        res = accept_counted_rows(g, "lu-counting", winner_table(3, 1, 2))
+        assert res.verdict == REJECTED and res.method == "lu-counting"
+        assert res.witness == (
+            "row 1 winner counts [6, 0, 0] fit the bounds of 0 strategies "
+            "instead of exactly one"
+        )
+        assert recognize_tableau(g).witness == res.witness

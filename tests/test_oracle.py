@@ -13,6 +13,7 @@ from davote import (
     CapExceededError,
     Correspondence,
     Form,
+    ParameterError,
     SizeGuardError,
     generate_correspondence,
     generate_form,
@@ -30,7 +31,13 @@ def test_oracle_builds_its_own_outcome_grid():
     # The oracle cross-checks the polynomial recognizers, so it must not
     # read winner sets from the table they share.
     source = inspect.getsource(davote.oracle)
-    banned = ("winner_table", "winner_row", "_count_bounds", "signature_of_strategy")
+    banned = (
+        "winner_table",
+        "winner_row",
+        "_count_bounds",
+        "signature_of_strategy",
+        "accept_counted_rows",
+    )
     for name in banned:
         assert name not in source
         assert not hasattr(davote.oracle, name)
@@ -61,6 +68,13 @@ class TestOracleRecognize:
         assert oracle_recognize(g).labelings_found == 2
         capped = oracle_recognize(g, cap=1)
         assert capped.labelings_found == 1 and capped.is_dav
+
+    def test_cap_below_one_is_a_parameter_error(self):
+        g = generate_form(3, 1, 1)
+        assert oracle_recognize(g, cap=1).is_dav
+        for cap in (0, -1):
+            with pytest.raises(ParameterError, match="cap"):
+                oracle_recognize(g, cap=cap)
 
     def test_shuffle_invariance(self, form_repeated_rows):
         rng = random.Random(5)

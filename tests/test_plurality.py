@@ -1,11 +1,9 @@
-"""Single-card forms: forbidden patterns and the greedy labeling."""
+"""Single-card forms: forbidden patterns and the winner-count labeling."""
 
 from __future__ import annotations
 
 import random
 from itertools import product
-
-import pytest
 
 from davote import (
     ACCEPTED,
@@ -18,8 +16,10 @@ from davote import (
 from davote.core import labeling_generates
 from davote.plurality import (
     ForbiddenWitness,
+    _find_m1,
+    _find_m2,
+    _find_m3,
     find_forbidden_submatrix,
-    greedy_assignment,
     recognize_plurality_form,
 )
 from conftest import A, B, C, form
@@ -61,10 +61,11 @@ class TestFindForbiddenSubmatrix:
 
     def test_each_grid_is_free_of_the_other_patterns(self, bad_m1, bad_m2, bad_m3):
         cases = {"m1": bad_m1, "m2": bad_m2, "m3": bad_m3}
+        finders = {"m1": _find_m1, "m2": _find_m2, "m3": _find_m3}
         for name, g in cases.items():
-            for other in cases:
+            for other, find in finders.items():
                 if other != name:
-                    assert find_forbidden_submatrix(g, patterns=(other,)) is None
+                    assert find(g.cells) is None
 
     def test_generated_forms_are_pattern_free(self):
         for p in (2, 3, 4, 5):
@@ -77,34 +78,14 @@ class TestFindForbiddenSubmatrix:
 
     def test_anti_diagonal_m1_orientation(self):
         g = form(2, ((B, A), (A, B)))
-        w = find_forbidden_submatrix(g, patterns=("m1",))
+        w = _find_m1(g.cells)
         assert w is not None and w.pattern == "m1"
         check_witness(g, w)
-
-    def test_unknown_pattern_name(self, bad_m1):
-        with pytest.raises(ValueError):
-            find_forbidden_submatrix(bad_m1, patterns=("m9",))
 
     def test_describe_uses_names(self, bad_m2):
         w = find_forbidden_submatrix(bad_m2)
         text = w.describe(["x", "y", "z"])
         assert "m2" in text and "a=x" in text
-
-
-class TestGreedyAssignment:
-    def test_doubled_values_become_labels(self):
-        ga = greedy_assignment(form(2, ((A, A), (B, B))))
-        assert ga.row_labels == (frozenset({A}), frozenset({B}))
-        assert ga.col_labels == (frozenset(), frozenset())
-
-    def test_two_doubles_in_one_line(self, bad_m3):
-        ga = greedy_assignment(bad_m3)
-        assert ga.row_labels[0] == frozenset({A, B})
-
-    def test_column_labels(self, bad_m2):
-        ga = greedy_assignment(bad_m2)
-        assert ga.col_labels[0] == frozenset({A})
-        assert ga.col_labels[2] == frozenset()
 
 
 class TestRecognizePluralityForm:
