@@ -20,10 +20,12 @@ from __future__ import annotations
 import math
 import string
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import add
+from types import MappingProxyType
 
 __all__ = [
     "Candidate",
@@ -44,6 +46,7 @@ __all__ = [
     "argmax_set",
     "winner_row",
     "winner_table",
+    "table_index",
     "generate_correspondence",
     "generate_form",
     "enumerate_all_forms",
@@ -64,11 +67,17 @@ Signature = tuple[int, ...]
 WinnerTable = tuple[
     tuple[Strategy, ...], tuple[Strategy, ...], tuple[tuple[CandidateSet, ...], ...]
 ]
+# (lower and upper count bounds, candidate masks) of every row, signature -> rows
+TableIndex = tuple[
+    tuple[tuple[Signature, Signature], ...],
+    tuple[tuple[int, ...], ...],
+    Mapping[Signature, tuple[int, ...]],
+]
 
 TIE_RULES = ("min-index", "max-index")
 
 _MAX_CELLS = 10**7  # largest table a generator builds, checked up front
-_TABLE_CACHE = 16  # winner tables kept per process, least recently used dropped first
+_TABLE_CACHE = 16  # tables (and indexes) kept per process, least recently used dropped first
 
 
 class ParameterError(ValueError):
@@ -172,6 +181,47 @@ def winner_table(p: int, alpha: int, beta: int) -> WinnerTable:
     return xs, ys, rows
 
 
+def _count_bounds(row: tuple[CandidateSet, ...], p: int) -> tuple[Signature, Signature]:
+    """Per-candidate winner-count bounds of a form row over a correspondence row.
+
+    Candidate a must win at least the cells whose winner set is {a} and
+    at most the cells whose winner set holds a.
+    """
+    lo, hi = [0] * p, [0] * p
+    for am, n in Counter(row).items():
+        for a in am:
+            hi[a] += n
+        if len(am) == 1:
+            lo[a] += n
+    return tuple(lo), tuple(hi)
+
+
+def _candidate_masks(row: tuple[CandidateSet, ...], p: int) -> tuple[int, ...]:
+    """Per candidate v, the bitmask of the strategies t with ``v in row[t]``."""
+    # One "0" or "1" per strategy, highest t first.
+    rev = row[::-1]
+    return tuple(int("".join(["1" if v in am else "0" for am in rev]), 2) for v in range(p))
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def table_index(p: int, alpha: int, beta: int) -> TableIndex:
+    """Row data the p >= 3 recognizers read off ``winner_table(p, alpha, beta)``.
+
+    Per table row x: its `_count_bounds` and its `_candidate_masks`;
+    and a read-only map from a row signature (the upper bounds) to the
+    indexes of the rows with it.  Built once per ``(p, alpha, beta)``
+    and kept like the table: in a cache of the same bound, with every
+    part immutable.
+    """
+    rows = winner_table(p, alpha, beta)[2]
+    bounds = tuple(_count_bounds(row, p) for row in rows)
+    sigs: dict[Signature, list[int]] = {}
+    for xi, (_, hi) in enumerate(bounds):
+        sigs.setdefault(hi, []).append(xi)
+    masks = tuple(_candidate_masks(row, p) for row in rows)
+    return bounds, masks, MappingProxyType({s: tuple(xis) for s, xis in sigs.items()})
+
+
 @dataclass(frozen=True)
 class Correspondence:
     """Outcome matrix whose cells are full argmax sets.
@@ -221,6 +271,18 @@ def _validate_grid(cells, p: int, kind: str) -> None:
     if not cells or not cells[0]:
         raise ParameterError(f"empty {kind} matrix")
     width = len(cells[0])
+    # Equal widths and valid distinct cells make a valid grid; anything
+    # else, a TypeError too, goes to the row-major scan for its error.
+    try:
+        values = set().union(*cells)
+        if kind == "correspondence":
+            ok = all(values) and all(0 <= c < p for c in set().union(*values))
+        else:
+            ok = all(0 <= v < p for v in values)
+        if ok and set(map(len, cells)) == {width}:
+            return
+    except TypeError:
+        pass
     for row in cells:
         if len(row) != width:
             raise ParameterError(f"ragged {kind} matrix")
@@ -402,10 +464,7 @@ def permute_tableau(t, row_perm, col_perm):
 
 def transpose_tableau(t):
     """The same tableau with the two voters' roles swapped."""
-    cells = tuple(
-        tuple(t.cells[i][j] for i in range(t.rows)) for j in range(t.cols)
-    )
-    return type(t)(candidates=t.candidates, cells=cells)
+    return type(t)(candidates=t.candidates, cells=tuple(zip(*t.cells)))
 
 
 def default_names(p: int) -> list[str]:

@@ -5,22 +5,24 @@ winner-count route and for single-card forms alike.  A correspondence
 column is labeled by looking up its content.  Form columns are matched
 to strategies as content classes: columns with equal content fit the
 same strategies, so each class is one vertex with a multiplicity, and
-the fit of a class is one bitmask (bit t set when strategy t fits).
-Labeling the columns is then a b-matching of classes to strategies: a
-greedy fill, then shortest augmenting chains found breadth first, as in
-Hopcroft & Karp (SIAM J. Comput. 2(4), 1973), one chain at a time for
-the classes left short.  Classes are taken in order of their first
-column and strategies in increasing index, so results are deterministic
-for a fixed input.
+the fit of a class is one bitmask (bit t set when strategy t fits):
+the AND over the rows of the per-candidate masks `core.table_index`
+keeps.  Labeling the columns is then a b-matching of classes to
+strategies: a greedy fill, then shortest augmenting chains found
+breadth first, as in Hopcroft & Karp (SIAM J. Comput. 2(4), 1973), one
+chain at a time for the classes left short.  Classes are taken in order
+of their first column and strategies in increasing index, so results
+are deterministic for a fixed input.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import islice
-from operator import contains, eq, le
+from operator import and_, contains, eq, le
 
-from .core import CandidateSet, Correspondence, Form, Labeling, WinnerTable, winner_counts
+from .core import CandidateSet, Correspondence, Form, Labeling, TableIndex, WinnerTable
+from .core import table_index, winner_counts
 from .results import ACCEPTED, REJECTED, RecognitionResult
 
 __all__ = [
@@ -39,49 +41,41 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _candidate_masks(row: tuple[CandidateSet, ...], candidates) -> dict[int, int]:
-    """Per candidate v given, the bitmask of the strategies t with ``v in row[t]``."""
-    kinds = list(set(row))
-    # One character per strategy, highest t first: the index of its winner set.
-    code = "".join(map({am: chr(k) for k, am in enumerate(kinds)}.__getitem__, reversed(row)))
-    return {
-        v: int(code.translate({k: "1" if v in am else "0" for k, am in enumerate(kinds)}), 2)
-        for v in candidates
-    }
+def _index(p: int, table: WinnerTable) -> TableIndex:
+    """`core.table_index` of the ``(p, alpha, beta)`` that `table` was built for."""
+    xs, ys, _ = table
+    return table_index(p, sum(xs[0]), sum(ys[0]))
 
 
-def match_column_classes(cells, rows: list[tuple[CandidateSet, ...]]) -> list[int | None]:
+def match_column_classes(cells, masks: list[tuple[int, ...]]) -> list[int | None]:
     """Label form columns with distinct strategies that reproduce them.
 
-    Strategy t fits column j when every cell (i, j) lies in
-    ``rows[i][t]``, the winner set of row i's label plus the t-th column
-    strategy.  Each class first takes the lowest free strategies of its
-    fit, as many as it has columns; a class left short then grows along
-    shortest chains of classes, each taking a strategy the next one
-    gives up, the last one a free strategy.  The first class that cannot
-    grow ends the search: no later augmentation could fill it.  Inside a
-    class, strategies go in increasing order to its columns in index
-    order.
+    `masks[i][v]` has bit t set when candidate v is in the winner set of
+    row i's label plus the t-th column strategy (`core.table_index`
+    keeps these per table row).  Strategy t fits column j when bit t is
+    set in ``masks[i][cells[i][j]]`` for every row i.  Each class first
+    takes the lowest free strategies of its fit, as many as it has
+    columns; a class left short then grows along shortest chains of
+    classes, each taking a strategy the next one gives up, the last one
+    a free strategy.  The first class that cannot grow ends the search:
+    no later augmentation could fill it.  Inside a class, strategies go
+    in increasing order to its columns in index order.
 
     Returns each column's strategy index, or None for columns left
     unlabeled, which happens exactly when no perfect matching exists.
     """
-    masks = [_candidate_masks(row, set(line)) for row, line in zip(rows, cells)]
     classes: dict[tuple, list[int]] = {}
     for j, col in enumerate(zip(*cells)):
         classes.setdefault(col, []).append(j)
-    fits = []
-    for content in classes:
-        fit = -1
-        for m, v in zip(masks, content):
-            fit &= m[v]
-        fits.append(fit)
+    fits = [-1] * len(classes)
+    # Row by row, every class keeps the strategies whose bit its cell has.
+    for m, line in zip(masks, zip(*classes)):
+        fits = list(map(and_, fits, map(m.__getitem__, line)))
     sizes = [len(js) for js in classes.values()]
 
-    n = len(rows[0])
     held = [0] * len(fits)
-    owner: list[int | None] = [None] * n
-    free = (1 << n) - 1
+    owner: dict[int, int] = {}
+    free = -1  # every strategy; only bits of some fit are ever taken
     for c, fit in enumerate(fits):
         for t in islice(_bits(fit & free), sizes[c]):
             held[c] |= 1 << t
@@ -170,7 +164,8 @@ def accept_row_labels(
     if isinstance(t, Correspondence):
         match = lookup_columns(t.cells, labeled)
     else:
-        match = match_column_classes(t.cells, labeled)
+        masks = _index(t.candidates, table)[1]
+        match = match_column_classes(t.cells, [masks[xi] for xi in assignment])
     if any(m is None for m in match):
         return RecognitionResult(
             REJECTED, method, witness="no perfect matching labels the columns"
@@ -186,33 +181,19 @@ def accept_row_labels(
     return RecognitionResult(ACCEPTED, method, labeling=labeling)
 
 
-def _count_bounds(row: tuple[CandidateSet, ...], p: int) -> tuple[list[int], list[int]]:
-    """Per-candidate winner-count bounds of a form row over a correspondence row.
-
-    Candidate a must win at least the cells whose winner set is {a} and
-    at most the cells whose winner set holds a.
-    """
-    lo, hi = [0] * p, [0] * p
-    for am, n in Counter(row).items():
-        for a in am:
-            hi[a] += n
-        if len(am) == 1:
-            lo[a] += n
-    return lo, hi
-
-
 def accept_counted_rows(g: Form, method: str, table: WinnerTable) -> RecognitionResult:
     """Label the rows of form `g` by winner counts, then `accept_row_labels`.
 
     Row i fits strategy x when each candidate's count in it lies within
-    the `_count_bounds` of x's table row; a row that fits none rejects
-    `g`.  A row that fits one strategy takes it.  Rows that fit several
-    take, in row order, the lowest fitting strategy no other row holds
-    yet, or the lowest fitting one if all are held (the duplicate check
-    then rejects).  Where every form has distinct rows, no row fits two.
+    the count bounds of x's table row (kept by `core.table_index`); a
+    row that fits none rejects `g`.  A row that fits one strategy takes
+    it.  Rows that fit several take, in row order, the lowest fitting
+    strategy no other row holds yet, or the lowest fitting one if all
+    are held (the duplicate check then rejects).  Where every form has
+    distinct rows, no row fits two.
     """
     p = g.candidates
-    bounds = [_count_bounds(row, p) for row in table[2]]
+    bounds = _index(p, table)[0]
     fits: list[list[int]] = []
     for i, line in enumerate(g.cells):
         counts = winner_counts(line, p)

@@ -27,8 +27,8 @@ from .core import (
     NoParametersError,
     infer_parameters,
     row_signature,
+    table_index,
     transpose_tableau,
-    winner_counts,
     winner_table,
 )
 from .distinctness import all_forms_rows_distinct
@@ -92,14 +92,11 @@ def recognize_correspondence(h: Correspondence) -> RecognitionResult:
     if h.cols < h.rows:
         return _swap_labeling(recognize_correspondence(transpose_tableau(h)))
 
-    table = _, _, rows = winner_table(p, alpha, beta)
-    sigs: dict[tuple[int, ...], list[int]] = {}
-    for xi, row in enumerate(rows):
-        sigs.setdefault(winner_counts(row, p), []).append(xi)
-
+    table = winner_table(p, alpha, beta)
+    sigs = table_index(p, alpha, beta)[2]
     assignment: list[int] = []
     for i in range(h.rows):
-        hits = sigs.get(row_signature(h, i), [])
+        hits = sigs.get(row_signature(h, i), ())
         if len(hits) != 1:
             return RecognitionResult(
                 REJECTED,

@@ -41,6 +41,7 @@ from davote.cli import main
 from davote.core import (
     Form,
     SizeGuardError,
+    _count_bounds,
     enumerate_strategies,
     generate_correspondence,
     generate_form,
@@ -56,7 +57,6 @@ from davote.distinctness import (
     empty_differentiating_pairs,
     identical_correspondence_rows,
 )
-from davote.matching import _count_bounds
 from davote.oracle import oracle_recognize
 from davote.plurality import _find_m1, _find_m2, _find_m3, recognize_plurality_form
 from davote.recognizer import (

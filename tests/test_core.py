@@ -22,6 +22,7 @@ from davote import (
     permute_tableau,
 )
 from davote.core import (
+    _count_bounds,
     argmax_set,
     default_names,
     enumerate_all_forms,
@@ -30,10 +31,12 @@ from davote.core import (
     labeling_generates,
     row_signature,
     strategy_count,
+    table_index,
     transpose_tableau,
     winner_counts,
     winner_table,
 )
+from davote.recognizer import recognize_tableau
 from conftest import A, B, corr, form, signature_of_strategy
 
 params = st.tuples(st.integers(2, 4), st.integers(1, 5))
@@ -148,6 +151,62 @@ class TestWinnerTable:
             winner_table(3, 1, beta)
             assert winner_table.cache_info().currsize <= bound
         assert winner_table.cache_info().currsize == bound
+
+
+class TestTableIndex:
+    @pytest.mark.parametrize("p,alpha,beta", [(3, 2, 3), (4, 1, 2), (5, 2, 2), (6, 1, 1)])
+    def test_matches_the_table_rows(self, p, alpha, beta):
+        _, _, rows = winner_table(p, alpha, beta)
+        bounds, masks, sigs = table_index(p, alpha, beta)
+        assert bounds == tuple(_count_bounds(row, p) for row in rows)
+        for row, (_, hi), m in zip(rows, bounds, masks):
+            assert hi == winner_counts(row, p)
+            assert m == tuple(
+                sum(1 << t for t, am in enumerate(row) if v in am) for v in range(p)
+            )
+        assert sorted(xi for xis in sigs.values() for xi in xis) == list(range(len(rows)))
+        for sig, xis in sigs.items():
+            assert list(xis) == sorted(xis)
+            assert all(winner_counts(rows[xi], p) == sig for xi in xis)
+
+    def test_parts_are_immutable(self):
+        bounds, masks, sigs = table_index(3, 2, 3)
+        assert all(type(part) is tuple for part in (bounds, masks, *bounds, *masks))
+        assert all(type(xis) is tuple for xis in sigs.values())
+        with pytest.raises(TypeError):
+            sigs[(0, 0, 0)] = (0,)
+
+    def test_second_call_returns_the_same_index(self):
+        assert table_index(3, 2, 3) is table_index(3, 2, 3)
+
+    def test_generation_leaves_both_caches_alone(self):
+        winner_table.cache_clear()
+        table_index.cache_clear()
+        generate_correspondence(3, 2, 4)
+        generate_form(4, 2, 3, "max-index")
+        assert winner_table.cache_info().currsize == 0
+        assert table_index.cache_info().currsize == 0
+
+    def test_bound_is_the_table_bound_and_evictions_keep_results(self):
+        bound = winner_table.cache_info().maxsize
+        assert table_index.cache_info().maxsize == bound
+        rng = random.Random(5)
+        instances = []
+        for beta in range(2, bound + 4):
+            g = generate_form(3, 1, beta, "max-index")
+            rows, cols = rng.sample(range(g.rows), g.rows), rng.sample(range(g.cols), g.cols)
+            instances.append(permute_tableau(g, rows, cols))
+        h = generate_correspondence(3, 2, 3)
+        instances.append(permute_tableau(h, [5, 0, 1, 2, 3, 4], list(range(h.cols))))
+        first = [recognize_tableau(t) for t in instances]
+        assert {res.method for res in first} == {"lu-counting", "signature-matching"}
+        for t, res in zip(instances, first):
+            assert res.accepted and labeling_generates(t, res.labeling)
+        for cache in (winner_table, table_index):
+            assert cache.cache_info().currsize == bound
+        # The first triple's table and index were dropped since.
+        for t, res in zip(instances, first):
+            assert recognize_tableau(t) == res
 
 
 def _plain_counts(cells, p):
@@ -372,6 +431,41 @@ class TestValidation:
     def test_empty_matrix(self):
         with pytest.raises(ParameterError):
             Form(candidates=2, cells=())
+
+    def test_ragged_message(self):
+        with pytest.raises(ParameterError, match=r"^ragged form matrix$"):
+            Form(candidates=3, cells=((0, 1), (2, 0), (1,)))
+        with pytest.raises(ParameterError, match=r"^ragged correspondence matrix$"):
+            Correspondence(candidates=2, cells=((frozenset({0}),), (frozenset({1}), frozenset({0}))))
+
+    def test_empty_cell_message(self):
+        cells = ((frozenset({0}), frozenset({1})), (frozenset({0, 1}), frozenset()))
+        with pytest.raises(ParameterError, match=r"^correspondence cell is empty$"):
+            Correspondence(candidates=2, cells=cells)
+
+    def test_first_bad_candidate_in_row_major_order(self):
+        with pytest.raises(ParameterError, match=r"^candidate 5 out of range 0\.\.2$"):
+            Form(candidates=3, cells=((0, 1, 2), (1, 5, 0), (7, 0, -1)))
+        with pytest.raises(ParameterError, match=r"^candidate -1 out of range 0\.\.2$"):
+            Form(candidates=3, cells=((0, 1, 2), (1, 2, -1), (7, 0, 5)))
+        cells = (
+            (frozenset({0}), frozenset({0, 4})),
+            (frozenset({3}), frozenset({1})),
+        )
+        with pytest.raises(ParameterError, match=r"^candidate 4 out of range 0\.\.2$"):
+            Correspondence(candidates=3, cells=cells)
+
+    def test_bad_cell_is_reported_before_a_later_ragged_row(self):
+        with pytest.raises(ParameterError, match=r"^candidate 3 out of range 0\.\.2$"):
+            Form(candidates=3, cells=((0, 3), (1,)))
+        with pytest.raises(ParameterError, match=r"^correspondence cell is empty$"):
+            Correspondence(candidates=2, cells=((frozenset(), frozenset({0})), (frozenset({1}),)))
+        with pytest.raises(ParameterError, match=r"^ragged form matrix$"):
+            Form(candidates=3, cells=((0, 1), (1,), (2, 9)))
+
+    def test_list_in_a_form_cell_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Form(candidates=3, cells=((0, 1), (2, [1])))
 
 
 class TestDefaultNames:

@@ -10,7 +10,15 @@ import pytest
 
 from davote import ACCEPTED, REJECTED, generate_correspondence, generate_form, permute_tableau, recognize_tableau
 from davote import matching
-from davote.core import Correspondence, Form, argmax_set, enumerate_strategies, winner_row, winner_table
+from davote.core import (
+    Correspondence,
+    Form,
+    _candidate_masks,
+    argmax_set,
+    enumerate_strategies,
+    winner_row,
+    winner_table,
+)
 from davote.matching import accept_counted_rows, lookup_columns, match_column_classes
 from conftest import (
     A,
@@ -189,6 +197,11 @@ def _check_labels(cells, rows, labels):
         assert given == sorted(given) and ts[: len(given)] == given
 
 
+def _masks(rows, p):
+    """The matcher's input for fixed rows: per row, per candidate, the fitting strategies."""
+    return [_candidate_masks(row, p) for row in rows]
+
+
 class TestMatchColumnClasses:
     def test_agrees_with_kuhn_on_random_instances(self):
         rng = random.Random(17)
@@ -203,7 +216,7 @@ class TestMatchColumnClasses:
             cells = [[rng.choice(sorted(rows[i][t])) for t in hidden] for i in range(k)]
             for _ in range(rng.choice([0, 0, 1, 2])):
                 cells[rng.randrange(k)][rng.randrange(n)] = rng.randrange(p)
-            labels = match_column_classes(cells, rows)
+            labels = match_column_classes(cells, _masks(rows, p))
             want = maximum_matching(column_adjacency(cells, rows), n)
             assert (None in labels) == (None in want), (cells, rows)
             _check_labels(cells, rows, labels)
@@ -223,7 +236,7 @@ class TestMatchColumnClasses:
                 cp = rng.sample(range(len(ys)), len(ys))
                 g = permute_tableau(Form(p, tuple(map(tuple, cells))), rp, cp)
                 labeled = [rows[r] for r in rp]
-                labels = match_column_classes(g.cells, labeled)
+                labels = match_column_classes(g.cells, _masks(labeled, p))
                 want = maximum_matching(column_adjacency(g.cells, labeled), len(ys))
                 assert (None in labels) == (None in want), (p, alpha, beta, trial)
                 _check_labels(g.cells, labeled, labels)
@@ -240,14 +253,14 @@ class TestMatchColumnClasses:
             frozenset({t - 1, t} & set(range(n - 1))) | ({n - 1} if t == 0 else set())
             for t in range(n)
         )
-        labels = match_column_classes([list(range(n))], [row])
+        labels = match_column_classes([list(range(n))], _masks([row], n))
         assert labels == list(range(1, n)) + [0]
 
     def test_class_with_too_few_fitting_strategies_is_rejected(self):
         # Content 0 fits strategies 0 and 1 only, but fills three columns.
         rows = [(frozenset({0}), frozenset({0}), frozenset({1}), frozenset({1}))]
         cells = [[0, 1, 0, 0]]
-        labels = match_column_classes(cells, rows)
+        labels = match_column_classes(cells, _masks(rows, 2))
         assert None in labels
         assert None in maximum_matching(column_adjacency(cells, rows), 4)
         _check_labels(cells, rows, labels)

@@ -34,6 +34,8 @@ def test_oracle_builds_its_own_outcome_grid():
     banned = (
         "winner_table",
         "winner_row",
+        "table_index",
+        "_candidate_masks",
         "_count_bounds",
         "signature_of_strategy",
         "accept_counted_rows",

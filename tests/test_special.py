@@ -20,8 +20,7 @@ from davote import (
     permute_axes,
     permute_tableau,
 )
-from davote.core import enumerate_strategies, labeling_generates, winner_table
-from davote.matching import _count_bounds
+from davote.core import _count_bounds, enumerate_strategies, labeling_generates, winner_table
 from davote.recognizer import recognize_correspondence, recognize_form
 from davote.special import n_tableau_as_grid, plane_signature, recognize_n_tableau
 from conftest import A, B, count_intervals, random_resolution
