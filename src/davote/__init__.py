@@ -14,7 +14,6 @@ reachable through its module (`davote.core`, `davote.recognizer`, ...).
 """
 
 from .core import (
-    CapExceededError,
     Correspondence,
     Form,
     Labeling,
@@ -57,7 +56,6 @@ __all__ = [
     "ParameterError",
     "NoParametersError",
     "SizeGuardError",
-    "CapExceededError",
     # generation
     "generate_correspondence",
     "generate_form",

@@ -22,8 +22,8 @@ import string
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import chain
 from operator import add
 from types import MappingProxyType
 
@@ -38,18 +38,17 @@ __all__ = [
     "PlaneLabeling",
     "ParameterError",
     "NoParametersError",
-    "CapExceededError",
+    "CellTypeError",
     "SizeGuardError",
     "TIE_RULES",
     "enumerate_strategies",
     "strategy_count",
     "argmax_set",
     "winner_row",
+    "WinnerTable",
     "winner_table",
-    "table_index",
     "generate_correspondence",
     "generate_form",
-    "enumerate_all_forms",
     "row_signature",
     "winner_counts",
     "infer_parameters",
@@ -63,21 +62,11 @@ Candidate = int
 Strategy = tuple[int, ...]
 CandidateSet = frozenset[int]
 Signature = tuple[int, ...]
-# (row strategies, column strategies, winner set of every pair)
-WinnerTable = tuple[
-    tuple[Strategy, ...], tuple[Strategy, ...], tuple[tuple[CandidateSet, ...], ...]
-]
-# (lower and upper count bounds, candidate masks) of every row, signature -> rows
-TableIndex = tuple[
-    tuple[tuple[Signature, Signature], ...],
-    tuple[tuple[int, ...], ...],
-    Mapping[Signature, tuple[int, ...]],
-]
 
 TIE_RULES = ("min-index", "max-index")
 
 _MAX_CELLS = 10**7  # largest table a generator builds, checked up front
-_TABLE_CACHE = 16  # tables (and indexes) kept per process, least recently used dropped first
+_TABLE_CACHE = 16  # tables kept per process, least recently used dropped first
 
 
 class ParameterError(ValueError):
@@ -92,8 +81,8 @@ class NoParametersError(ParameterError):
     """
 
 
-class CapExceededError(RuntimeError):
-    """Raised when an enumeration would exceed its configured cap."""
+class CellTypeError(ParameterError, TypeError):
+    """Raised for a grid cell of the wrong type; also a `TypeError`."""
 
 
 class SizeGuardError(RuntimeError):
@@ -158,29 +147,6 @@ def winner_row(x: Strategy, ys) -> tuple[CandidateSet, ...]:
     return tuple(argmax_set(tuple(map(add, x, y))) for y in ys)
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
-def winner_table(p: int, alpha: int, beta: int) -> WinnerTable:
-    """Row strategies, column strategies and the winner set of every pair.
-
-    `rows[i][j]` is the winner set of ``xs[i] + ys[j]``, the cell (i, j)
-    of the generated correspondence.  Equal sets are one shared object,
-    so the table holds at most ``2**p - 1`` distinct sets.
-
-    Tables are cached per ``(p, alpha, beta)``, the least recently used
-    dropped beyond a fixed bound, and every part is a tuple, so the
-    shared table cannot be changed by a caller.  The generators build a
-    fresh table through ``winner_table.__wrapped__`` and leave the cache
-    alone, since their tables are one-shot and may be very large.
-    """
-    xs = tuple(enumerate_strategies(p, alpha))
-    ys = tuple(enumerate_strategies(p, beta))
-    interned: dict[CandidateSet, CandidateSet] = {}
-    rows = tuple(
-        tuple(interned.setdefault(am, am) for am in winner_row(x, ys)) for x in xs
-    )
-    return xs, ys, rows
-
-
 def _count_bounds(row: tuple[CandidateSet, ...], p: int) -> tuple[Signature, Signature]:
     """Per-candidate winner-count bounds of a form row over a correspondence row.
 
@@ -203,23 +169,66 @@ def _candidate_masks(row: tuple[CandidateSet, ...], p: int) -> tuple[int, ...]:
     return tuple(int("".join(["1" if v in am else "0" for am in rev]), 2) for v in range(p))
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
-def table_index(p: int, alpha: int, beta: int) -> TableIndex:
-    """Row data the p >= 3 recognizers read off ``winner_table(p, alpha, beta)``.
+@dataclass(frozen=True)
+class WinnerTable:
+    """Row strategies, column strategies and the winner set of every pair.
 
-    Per table row x: its `_count_bounds` and its `_candidate_masks`;
-    and a read-only map from a row signature (the upper bounds) to the
-    indexes of the rows with it.  Built once per ``(p, alpha, beta)``
-    and kept like the table: in a cache of the same bound, with every
-    part immutable.
+    `rows[i][j]` is the winner set of ``xs[i] + ys[j]``, the cell (i, j)
+    of the generated correspondence over `p` candidates.  Equal sets are
+    one shared object, so the table holds at most ``2**p - 1`` distinct
+    sets.  Every part is a tuple, so a shared table cannot be changed by
+    a caller.
+
+    `bounds`, `masks` and `signatures` hold what the p >= 3 recognizers
+    read off the rows.  Each is built on its first read and then kept
+    with the table, so a route pays only for the parts it reads.
     """
-    rows = winner_table(p, alpha, beta)[2]
-    bounds = tuple(_count_bounds(row, p) for row in rows)
-    sigs: dict[Signature, list[int]] = {}
-    for xi, (_, hi) in enumerate(bounds):
-        sigs.setdefault(hi, []).append(xi)
-    masks = tuple(_candidate_masks(row, p) for row in rows)
-    return bounds, masks, MappingProxyType({s: tuple(xis) for s, xis in sigs.items()})
+
+    p: int
+    xs: tuple[Strategy, ...]
+    ys: tuple[Strategy, ...]
+    rows: tuple[tuple[CandidateSet, ...], ...]
+
+    @classmethod
+    def build(cls, p: int, alpha: int, beta: int) -> WinnerTable:
+        """A fresh (p, alpha, beta) table, outside the `winner_table` cache."""
+        xs = tuple(enumerate_strategies(p, alpha))
+        ys = tuple(enumerate_strategies(p, beta))
+        interned: dict[CandidateSet, CandidateSet] = {}
+        rows = tuple(
+            tuple(interned.setdefault(am, am) for am in winner_row(x, ys)) for x in xs
+        )
+        return cls(p, xs, ys, rows)
+
+    @cached_property
+    def bounds(self) -> tuple[tuple[Signature, Signature], ...]:
+        """Per row, its `_count_bounds`."""
+        return tuple(_count_bounds(row, self.p) for row in self.rows)
+
+    @cached_property
+    def masks(self) -> tuple[tuple[int, ...], ...]:
+        """Per row, its `_candidate_masks`."""
+        return tuple(_candidate_masks(row, self.p) for row in self.rows)
+
+    @cached_property
+    def signatures(self) -> Mapping[Signature, tuple[int, ...]]:
+        """Read-only map from a row signature to the indexes of the rows with it."""
+        sigs: dict[Signature, list[int]] = {}
+        for xi, row in enumerate(self.rows):
+            sigs.setdefault(winner_counts(row, self.p), []).append(xi)
+        return MappingProxyType({s: tuple(xis) for s, xis in sigs.items()})
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def winner_table(p: int, alpha: int, beta: int) -> WinnerTable:
+    """The (p, alpha, beta) `WinnerTable`, shared through a cache.
+
+    Tables are cached per ``(p, alpha, beta)``, the least recently used
+    dropped beyond a fixed bound.  The generators call
+    `WinnerTable.build` and leave the cache alone, since their tables
+    are one-shot and may be very large.
+    """
+    return WinnerTable.build(p, alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -271,14 +280,25 @@ def _validate_grid(cells, p: int, kind: str) -> None:
     if not cells or not cells[0]:
         raise ParameterError(f"empty {kind} matrix")
     width = len(cells[0])
-    # Equal widths and valid distinct cells make a valid grid; anything
-    # else, a TypeError too, goes to the row-major scan for its error.
+    is_corr = kind == "correspondence"
+    # Equal widths, every cell (every member, for a correspondence) of
+    # the right type and valid distinct values make a valid grid.  The
+    # types are read off every cell, since 1.0 == 1 would hide a float
+    # behind an int among the distinct values.  Anything else, a
+    # TypeError too, goes to the row-major scan for its error.
     try:
         values = set().union(*cells)
-        if kind == "correspondence":
-            ok = all(values) and all(0 <= c < p for c in set().union(*values))
+        if is_corr:
+            ok = (
+                set(map(type, chain.from_iterable(cells))) == {frozenset}
+                and all(values)
+                and set(map(type, chain.from_iterable(chain.from_iterable(cells)))) == {int}
+                and all(0 <= c < p for c in set().union(*values))
+            )
         else:
-            ok = all(0 <= v < p for v in values)
+            ok = set(map(type, chain.from_iterable(cells))) == {int} and all(
+                0 <= v < p for v in values
+            )
         if ok and set(map(len, cells)) == {width}:
             return
     except TypeError:
@@ -287,15 +307,30 @@ def _validate_grid(cells, p: int, kind: str) -> None:
         if len(row) != width:
             raise ParameterError(f"ragged {kind} matrix")
         for cell in row:
-            if kind == "correspondence":
-                if not cell:
-                    raise ParameterError("correspondence cell is empty")
-                bad = [c for c in cell if not 0 <= c < p]
-                if bad:
-                    raise ParameterError(f"candidate {bad[0]} out of range 0..{p - 1}")
-            else:
-                if not 0 <= cell < p:
-                    raise ParameterError(f"candidate {cell} out of range 0..{p - 1}")
+            if not is_corr:
+                _check_candidate(cell, p)
+                continue
+            if type(cell) is not frozenset:
+                raise CellTypeError(f"correspondence cell {cell!r} is not a frozenset")
+            if not cell:
+                raise ParameterError("correspondence cell is empty")
+            for c in cell:
+                _check_candidate(c, p)
+
+
+def _check_candidate(c, p: int) -> None:
+    if type(c) is not int:
+        raise CellTypeError(f"candidate {c!r} is not an int")
+    if not 0 <= c < p:
+        raise ParameterError(f"candidate {c} out of range 0..{p - 1}")
+
+
+def _valid_tableau(cls, p: int, cells):
+    """A `cls` tableau over cells known to be valid, built without checking them again."""
+    t = object.__new__(cls)
+    object.__setattr__(t, "candidates", p)
+    object.__setattr__(t, "cells", cells)
+    return t
 
 
 @dataclass(frozen=True)
@@ -333,8 +368,7 @@ def generate_correspondence(p: int, alpha: int, beta: int) -> Correspondence:
         strategy_count(p, alpha) * strategy_count(p, beta),
         f"the (p={p}, alpha={alpha}, beta={beta}) tableau",
     )
-    _, _, rows = winner_table.__wrapped__(p, alpha, beta)
-    return Correspondence(candidates=p, cells=rows)
+    return _valid_tableau(Correspondence, p, WinnerTable.build(p, alpha, beta).rows)
 
 
 def generate_form(p: int, alpha: int, beta: int, tie_rule: str = "min-index") -> Form:
@@ -348,36 +382,7 @@ def generate_form(p: int, alpha: int, beta: int, tie_rule: str = "min-index") ->
     corr = generate_correspondence(p, alpha, beta)
     pick = min if tie_rule == "min-index" else max
     cells = tuple(tuple(pick(cell) for cell in row) for row in corr.cells)
-    return Form(candidates=p, cells=cells)
-
-
-def enumerate_all_forms(p: int, alpha: int, beta: int, cap: int = 10_000) -> list[Form]:
-    """Every form obtainable from the (p, alpha, beta) correspondence.
-
-    Each cell of the correspondence contributes one independent choice,
-    so the result has ``prod(len(cell))`` entries.  Raises
-    `CapExceededError` when that product exceeds `cap`; distinct choice
-    vectors always give distinct matrices, so the count is exact.
-    """
-    corr = generate_correspondence(p, alpha, beta)
-    total = 1
-    for row in corr.cells:
-        for cell in row:
-            total *= len(cell)
-            if total > cap:
-                raise CapExceededError(
-                    f"{total}+ forms for p={p}, alpha={alpha}, beta={beta} exceed cap={cap}"
-                )
-    rows = corr.rows
-    cols = corr.cols
-    flat_choices = [sorted(cell) for row in corr.cells for cell in row]
-    forms = []
-    for combo in product(*flat_choices):
-        cells = tuple(
-            tuple(combo[i * cols + j] for j in range(cols)) for i in range(rows)
-        )
-        forms.append(Form(candidates=p, cells=cells))
-    return forms
+    return _valid_tableau(Form, p, cells)
 
 
 def row_signature(h: Correspondence | Form, i: int) -> Signature:
@@ -459,12 +464,12 @@ def permute_tableau(t, row_perm, col_perm):
     cells = tuple(
         tuple(t.cells[ri][cj] for cj in col_perm) for ri in row_perm
     )
-    return type(t)(candidates=t.candidates, cells=cells)
+    return _valid_tableau(type(t), t.candidates, cells)
 
 
 def transpose_tableau(t):
     """The same tableau with the two voters' roles swapped."""
-    return type(t)(candidates=t.candidates, cells=tuple(zip(*t.cells)))
+    return _valid_tableau(type(t), t.candidates, tuple(zip(*t.cells)))
 
 
 def default_names(p: int) -> list[str]:

@@ -31,7 +31,6 @@ __all__ = [
     "correspondence_rows_distinct",
     "identical_correspondence_rows",
     "all_forms_rows_distinct",
-    "all_forms_rows_distinct_direct",
     "empty_differentiating_pairs",
 ]
 
@@ -81,9 +80,9 @@ def identical_correspondence_rows(
             f"direct mode would build a {cells}-cell table, over "
             f"the budget of {max_evals}"
         )
-    xs, _, rows = winner_table(p, alpha, beta)
+    table = winner_table(p, alpha, beta)
     by_row: dict[tuple, list[Strategy]] = {}
-    for x, row in zip(xs, rows):
+    for x, row in zip(table.xs, table.rows):
         by_row.setdefault(row, []).append(x)
     return [pair for hits in by_row.values() for pair in combinations(hits, 2)]
 
@@ -109,53 +108,6 @@ def all_forms_rows_distinct(p: int, alpha: int, beta: int) -> bool:
     return (alpha, beta) != (1, 1) and beta >= 2 * alpha - 2
 
 
-def _neighbor_pairs(xs: list[Strategy], p: int):
-    """Pairs (x, x') with x = x' plus one card moved from b to a."""
-    index = {x: None for x in xs}
-    for x in xs:
-        for a in range(p):
-            if x[a] == 0:
-                continue
-            for b in range(p):
-                if a == b:
-                    continue
-                moved = list(x)
-                moved[a] -= 1
-                moved[b] += 1
-                xp = tuple(moved)
-                if xp in index:
-                    yield x, xp
-
-
-def all_forms_rows_distinct_direct(
-    p: int,
-    alpha: int,
-    beta: int,
-    max_evals: int = DEFAULT_MAX_EVALS,
-) -> bool:
-    """Direct check that every single-card-move pair has a differentiating column.
-
-    Moving one card can only shrink the differentiating set, so this
-    verdict equals that of the all-pairs scan `empty_differentiating_pairs`
-    at a fraction of the cost.  `max_evals` bounds the number of cell
-    evaluations (roughly pairs times columns); exceeding it raises
-    `SizeGuardError`.
-    """
-    k = strategy_count(p, alpha)
-    n_cols = strategy_count(p, beta)
-    if k * p * p * n_cols > max_evals:
-        raise SizeGuardError(
-            f"direct check for p={p}, alpha={alpha}, beta={beta} needs about "
-            f"{k * p * p * n_cols} evaluations, over the budget of {max_evals}"
-        )
-    xs, _, rows = winner_table(p, alpha, beta)
-    am_rows = dict(zip(xs, rows))
-    return all(
-        any(am.isdisjoint(am_p) for am, am_p in zip(am_rows[x], am_rows[xp]))
-        for x, xp in _neighbor_pairs(xs, p)
-    )
-
-
 def empty_differentiating_pairs(
     p: int,
     alpha: int,
@@ -174,7 +126,8 @@ def empty_differentiating_pairs(
             f"pair scan for p={p}, alpha={alpha}, beta={beta} needs about "
             f"{k * k * n_cols} evaluations, over the budget of {max_evals}"
         )
-    xs, _, rows = winner_table(p, alpha, beta)
+    table = winner_table(p, alpha, beta)
+    xs, rows = table.xs, table.rows
     out = []
     for i in range(k):
         for j in range(i + 1, k):

@@ -6,8 +6,7 @@ column is labeled by looking up its content.  Form columns are matched
 to strategies as content classes: columns with equal content fit the
 same strategies, so each class is one vertex with a multiplicity, and
 the fit of a class is one bitmask (bit t set when strategy t fits):
-the AND over the rows of the per-candidate masks `core.table_index`
-keeps.  Labeling the columns is then a b-matching of classes to
+the AND over the rows of the per-candidate `core.WinnerTable.masks`.  Labeling the columns is then a b-matching of classes to
 strategies: a greedy fill, then shortest augmenting chains found
 breadth first, as in Hopcroft & Karp (SIAM J. Comput. 2(4), 1973), one
 chain at a time for the classes left short.  Classes are taken in order
@@ -21,8 +20,7 @@ from collections import Counter
 from itertools import islice
 from operator import and_, contains, eq, le
 
-from .core import CandidateSet, Correspondence, Form, Labeling, TableIndex, WinnerTable
-from .core import table_index, winner_counts
+from .core import CandidateSet, Correspondence, Form, Labeling, WinnerTable, winner_counts
 from .results import ACCEPTED, REJECTED, RecognitionResult
 
 __all__ = [
@@ -41,17 +39,11 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _index(p: int, table: WinnerTable) -> TableIndex:
-    """`core.table_index` of the ``(p, alpha, beta)`` that `table` was built for."""
-    xs, ys, _ = table
-    return table_index(p, sum(xs[0]), sum(ys[0]))
-
-
 def match_column_classes(cells, masks: list[tuple[int, ...]]) -> list[int | None]:
     """Label form columns with distinct strategies that reproduce them.
 
     `masks[i][v]` has bit t set when candidate v is in the winner set of
-    row i's label plus the t-th column strategy (`core.table_index`
+    row i's label plus the t-th column strategy (`WinnerTable.masks`
     keeps these per table row).  Strategy t fits column j when bit t is
     set in ``masks[i][cells[i][j]]`` for every row i.  Each class first
     takes the lowest free strategies of its fit, as many as it has
@@ -141,7 +133,7 @@ def accept_row_labels(
 ) -> RecognitionResult:
     """Finish a recognition whose rows are labeled by strategy index.
 
-    `table` is ``winner_table(p, alpha, beta)`` and `assignment[i]` the
+    `table` is the (p, alpha, beta) `WinnerTable` and `assignment[i]` the
     index of row i's strategy in it.  The rows must use distinct
     strategies, the columns must be labeled (by content lookup for a
     correspondence, by a perfect class matching for a form), and the
@@ -150,7 +142,7 @@ def accept_row_labels(
     row i's strategy and column j's strategy.  That is the test of
     `labeling_generates`, read from the table instead of recomputed.
     """
-    xs, ys, rows = table
+    xs, ys, rows = table.xs, table.ys, table.rows
     uses = Counter(assignment)
     dup = next((xi for xi in assignment if uses[xi] > 1), None)
     if dup is not None:
@@ -164,7 +156,7 @@ def accept_row_labels(
     if isinstance(t, Correspondence):
         match = lookup_columns(t.cells, labeled)
     else:
-        masks = _index(t.candidates, table)[1]
+        masks = table.masks
         match = match_column_classes(t.cells, [masks[xi] for xi in assignment])
     if any(m is None for m in match):
         return RecognitionResult(
@@ -185,7 +177,7 @@ def accept_counted_rows(g: Form, method: str, table: WinnerTable) -> Recognition
     """Label the rows of form `g` by winner counts, then `accept_row_labels`.
 
     Row i fits strategy x when each candidate's count in it lies within
-    the count bounds of x's table row (kept by `core.table_index`); a
+    the count bounds of x's table row (`WinnerTable.bounds`); a
     row that fits none rejects `g`.  A row that fits one strategy takes
     it.  Rows that fit several take, in row order, the lowest fitting
     strategy no other row holds yet, or the lowest fitting one if all
@@ -193,7 +185,7 @@ def accept_counted_rows(g: Form, method: str, table: WinnerTable) -> Recognition
     distinct rows, no row fits two.
     """
     p = g.candidates
-    bounds = _index(p, table)[0]
+    bounds = table.bounds
     fits: list[list[int]] = []
     for i, line in enumerate(g.cells):
         counts = winner_counts(line, p)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    CapExceededError,
     Correspondence,
     Form,
     Labeling,
@@ -22,12 +21,11 @@ from .core import (
     SizeGuardError,
     argmax_set,
     enumerate_strategies,
-    generate_correspondence,
     infer_parameters,
     row_signature,
 )
 
-__all__ = ["OracleReport", "oracle_recognize", "oracle_count_forms"]
+__all__ = ["OracleReport", "oracle_recognize"]
 
 DEFAULT_LABELING_CAP = 10
 DEFAULT_MAX_CELLS = 64
@@ -175,27 +173,3 @@ def oracle_recognize(
     assign_rows(0, [list(range(len(ys))) for _ in range(n_cols)])
     report.is_dav = report.labelings_found > 0
     return report
-
-
-def oracle_count_forms(p: int, alpha: int, beta: int, max_tie_cells: int = 20) -> int:
-    """Exact number of forms derivable from the (p, alpha, beta) table.
-
-    Each cell contributes a factor equal to its winner-set size, and
-    distinct per-cell choices always produce distinct matrices, so the
-    product is the exact count.  Raises `CapExceededError` when more
-    than `max_tie_cells` cells are tied (the count itself would still be
-    exact, but it grows out of any useful range).
-    """
-    corr = generate_correspondence(p, alpha, beta)
-    total = 1
-    ties = 0
-    for row in corr.cells:
-        for cell in row:
-            if len(cell) > 1:
-                ties += 1
-                total *= len(cell)
-    if ties > max_tie_cells:
-        raise CapExceededError(
-            f"{ties} tied cells exceed the counting guard of {max_tie_cells}"
-        )
-    return total

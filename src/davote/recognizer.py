@@ -27,7 +27,6 @@ from .core import (
     NoParametersError,
     infer_parameters,
     row_signature,
-    table_index,
     transpose_tableau,
     winner_table,
 )
@@ -93,7 +92,7 @@ def recognize_correspondence(h: Correspondence) -> RecognitionResult:
         return _swap_labeling(recognize_correspondence(transpose_tableau(h)))
 
     table = winner_table(p, alpha, beta)
-    sigs = table_index(p, alpha, beta)[2]
+    sigs = table.signatures
     assignment: list[int] = []
     for i in range(h.rows):
         hits = sigs.get(row_signature(h, i), ())

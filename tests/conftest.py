@@ -10,6 +10,7 @@ them with the code under test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import pytest
 
@@ -32,7 +33,7 @@ from davote.core import (
     winner_row,
     winner_table,
 )
-from davote.distinctness import DEFAULT_MAX_EVALS, _neighbor_pairs
+from davote.distinctness import DEFAULT_MAX_EVALS
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -82,6 +83,111 @@ def signature_of_strategy(x: Strategy, p: int, beta: int) -> Signature:
     return winner_counts(winner_row(x, enumerate_strategies(p, beta)), p)
 
 
+class CapExceededError(RuntimeError):
+    """Raised when an enumeration would exceed its configured cap."""
+
+
+def enumerate_all_forms(p: int, alpha: int, beta: int, cap: int = 10_000) -> list[Form]:
+    """Every form obtainable from the (p, alpha, beta) correspondence.
+
+    Each cell of the correspondence contributes one independent choice,
+    so the result has ``prod(len(cell))`` entries.  Raises
+    `CapExceededError` when that product exceeds `cap`; distinct choice
+    vectors always give distinct matrices, so the count is exact.
+    """
+    corr = generate_correspondence(p, alpha, beta)
+    total = 1
+    for row in corr.cells:
+        for cell in row:
+            total *= len(cell)
+            if total > cap:
+                raise CapExceededError(
+                    f"{total}+ forms for p={p}, alpha={alpha}, beta={beta} exceed cap={cap}"
+                )
+    rows = corr.rows
+    cols = corr.cols
+    flat_choices = [sorted(cell) for row in corr.cells for cell in row]
+    forms = []
+    for combo in product(*flat_choices):
+        cells = tuple(
+            tuple(combo[i * cols + j] for j in range(cols)) for i in range(rows)
+        )
+        forms.append(Form(candidates=p, cells=cells))
+    return forms
+
+
+def oracle_count_forms(p: int, alpha: int, beta: int, max_tie_cells: int = 20) -> int:
+    """Exact number of forms derivable from the (p, alpha, beta) table.
+
+    Each cell contributes a factor equal to its winner-set size, and
+    distinct per-cell choices always produce distinct matrices, so the
+    product is the exact count.  Raises `CapExceededError` when more
+    than `max_tie_cells` cells are tied (the count itself would still be
+    exact, but it grows out of any useful range).
+    """
+    corr = generate_correspondence(p, alpha, beta)
+    total = 1
+    ties = 0
+    for row in corr.cells:
+        for cell in row:
+            if len(cell) > 1:
+                ties += 1
+                total *= len(cell)
+    if ties > max_tie_cells:
+        raise CapExceededError(
+            f"{ties} tied cells exceed the counting guard of {max_tie_cells}"
+        )
+    return total
+
+
+def _neighbor_pairs(xs: list[Strategy], p: int):
+    """Pairs (x, x') with x = x' plus one card moved from b to a."""
+    index = {x: None for x in xs}
+    for x in xs:
+        for a in range(p):
+            if x[a] == 0:
+                continue
+            for b in range(p):
+                if a == b:
+                    continue
+                moved = list(x)
+                moved[a] -= 1
+                moved[b] += 1
+                xp = tuple(moved)
+                if xp in index:
+                    yield x, xp
+
+
+def all_forms_rows_distinct_direct(
+    p: int,
+    alpha: int,
+    beta: int,
+    max_evals: int = DEFAULT_MAX_EVALS,
+) -> bool:
+    """Direct check that every single-card-move pair has a differentiating column.
+
+    Moving one card can only shrink the differentiating set, so this
+    verdict equals that of the all-pairs scan `empty_differentiating_pairs`
+    at a fraction of the cost.  `max_evals` bounds the number of cell
+    evaluations (roughly pairs times columns); exceeding it raises
+    `SizeGuardError`.
+    """
+    k = strategy_count(p, alpha)
+    n_cols = strategy_count(p, beta)
+    if k * p * p * n_cols > max_evals:
+        raise SizeGuardError(
+            f"direct check for p={p}, alpha={alpha}, beta={beta} needs about "
+            f"{k * p * p * n_cols} evaluations, over the budget of {max_evals}"
+        )
+    table = winner_table(p, alpha, beta)
+    xs = table.xs
+    am_rows = dict(zip(xs, table.rows))
+    return all(
+        any(am.isdisjoint(am_p) for am, am_p in zip(am_rows[x], am_rows[xp]))
+        for x, xp in _neighbor_pairs(xs, p)
+    )
+
+
 def neighbor_reduction_check(
     p: int,
     alpha: int,
@@ -110,8 +216,9 @@ def neighbor_reduction_check(
             f"reduction check for p={p}, alpha={alpha}, beta={beta} needs about "
             f"{k * k * n_cols} evaluations, over the budget of {max_evals}"
         )
-    xs, _, rows = winner_table(p, alpha, beta)
-    am_rows = dict(zip(xs, rows))
+    table = winner_table(p, alpha, beta)
+    xs = table.xs
+    am_rows = dict(zip(xs, table.rows))
     memo: dict[tuple[Strategy, Strategy], frozenset[int]] = {}
 
     def dset(x: Strategy, xp: Strategy) -> frozenset[int]:

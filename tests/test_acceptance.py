@@ -28,6 +28,7 @@ from conftest import (
     CORR_2_3_3_ROWS,
     FORM_2_3_3_DISTINCT_ROWS,
     FORM_2_3_3_REPEATED_ROWS,
+    all_forms_rows_distinct_direct,
     b_set,
     corr,
     form,
@@ -52,7 +53,6 @@ from davote.core import (
 )
 from davote.distinctness import (
     all_forms_rows_distinct,
-    all_forms_rows_distinct_direct,
     correspondence_rows_distinct,
     empty_differentiating_pairs,
     identical_correspondence_rows,
@@ -242,7 +242,7 @@ def test_05_counting_properties():
     for p in range(2, 6):
         for a in range(1, 7):
             for b in range(1, 7):
-                _, _, rows = winner_table(p, a, b)
+                rows = winner_table(p, a, b).rows
                 bounds = [_count_bounds(row, p) for row in rows]
                 separated = all(
                     any(hi_u[c] < lo_v[c] or hi_v[c] < lo_u[c] for c in range(p))

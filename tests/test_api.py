@@ -20,7 +20,6 @@ DOCUMENTED_API = [
     "ParameterError",
     "NoParametersError",
     "SizeGuardError",
-    "CapExceededError",
     # generation
     "generate_correspondence",
     "generate_form",

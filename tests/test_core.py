@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError
 from itertools import combinations, product
 from math import comb
 
@@ -11,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from davote import (
-    CapExceededError,
     Correspondence,
     Form,
     Labeling,
@@ -22,22 +22,29 @@ from davote import (
     permute_tableau,
 )
 from davote.core import (
+    WinnerTable,
     _count_bounds,
     argmax_set,
     default_names,
-    enumerate_all_forms,
     enumerate_strategies,
     infer_parameters,
     labeling_generates,
     row_signature,
     strategy_count,
-    table_index,
     transpose_tableau,
     winner_counts,
     winner_table,
 )
 from davote.recognizer import recognize_tableau
-from conftest import A, B, corr, form, signature_of_strategy
+from conftest import (
+    A,
+    B,
+    CapExceededError,
+    corr,
+    enumerate_all_forms,
+    form,
+    signature_of_strategy,
+)
 
 params = st.tuples(st.integers(2, 4), st.integers(1, 5))
 
@@ -131,12 +138,15 @@ class TestWinnerTable:
         assert winner_table(3, 2, 3) is winner_table(3, 2, 3)
 
     def test_parts_are_tuples(self):
-        xs, ys, rows = winner_table(3, 2, 3)
+        table = winner_table(3, 2, 3)
+        xs, ys, rows = table.xs, table.ys, table.rows
         assert all(type(part) is tuple for part in (xs, ys, rows))
         assert all(type(row) is tuple for row in rows)
+        assert table.p == 3
         assert xs == tuple(enumerate_strategies(3, 2))
         assert ys == tuple(enumerate_strategies(3, 3))
         assert rows == generate_correspondence(3, 2, 3).cells
+        assert WinnerTable.build(3, 2, 3) == table
 
     def test_generation_leaves_the_cache_alone(self):
         winner_table.cache_clear()
@@ -154,12 +164,14 @@ class TestWinnerTable:
 
 
 class TestTableIndex:
+    """The row data a `WinnerTable` keeps: `bounds`, `masks` and `signatures`."""
+
     @pytest.mark.parametrize("p,alpha,beta", [(3, 2, 3), (4, 1, 2), (5, 2, 2), (6, 1, 1)])
     def test_matches_the_table_rows(self, p, alpha, beta):
-        _, _, rows = winner_table(p, alpha, beta)
-        bounds, masks, sigs = table_index(p, alpha, beta)
+        table = winner_table(p, alpha, beta)
+        rows, bounds, sigs = table.rows, table.bounds, table.signatures
         assert bounds == tuple(_count_bounds(row, p) for row in rows)
-        for row, (_, hi), m in zip(rows, bounds, masks):
+        for row, (_, hi), m in zip(rows, bounds, table.masks):
             assert hi == winner_counts(row, p)
             assert m == tuple(
                 sum(1 << t for t, am in enumerate(row) if v in am) for v in range(p)
@@ -170,26 +182,34 @@ class TestTableIndex:
             assert all(winner_counts(rows[xi], p) == sig for xi in xis)
 
     def test_parts_are_immutable(self):
-        bounds, masks, sigs = table_index(3, 2, 3)
+        table = winner_table(3, 2, 3)
+        bounds, masks, sigs = table.bounds, table.masks, table.signatures
         assert all(type(part) is tuple for part in (bounds, masks, *bounds, *masks))
         assert all(type(xis) is tuple for xis in sigs.values())
         with pytest.raises(TypeError):
             sigs[(0, 0, 0)] = (0,)
+        for name in ("p", "rows", "bounds", "masks", "signatures"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(table, name, ())
 
     def test_second_call_returns_the_same_index(self):
-        assert table_index(3, 2, 3) is table_index(3, 2, 3)
+        table = winner_table(3, 2, 3)
+        for name in ("bounds", "masks", "signatures"):
+            assert getattr(table, name) is getattr(winner_table(3, 2, 3), name)
 
-    def test_generation_leaves_both_caches_alone(self):
+    def test_parts_are_built_on_first_read(self):
         winner_table.cache_clear()
-        table_index.cache_clear()
-        generate_correspondence(3, 2, 4)
-        generate_form(4, 2, 3, "max-index")
-        assert winner_table.cache_info().currsize == 0
-        assert table_index.cache_info().currsize == 0
+        h = generate_correspondence(3, 2, 3)
+        recognize_tableau(permute_tableau(h, [5, 0, 1, 2, 3, 4], list(range(h.cols))))
+        table = vars(winner_table(3, 2, 3))
+        assert "signatures" in table and "masks" not in table
+        g = generate_form(3, 1, 2, "max-index")
+        assert recognize_tableau(permute_tableau(g, [2, 0, 1], list(range(g.cols)))).accepted
+        table = vars(winner_table(3, 1, 2))
+        assert {"bounds", "masks"} <= table.keys() and "signatures" not in table
 
     def test_bound_is_the_table_bound_and_evictions_keep_results(self):
         bound = winner_table.cache_info().maxsize
-        assert table_index.cache_info().maxsize == bound
         rng = random.Random(5)
         instances = []
         for beta in range(2, bound + 4):
@@ -202,9 +222,8 @@ class TestTableIndex:
         assert {res.method for res in first} == {"lu-counting", "signature-matching"}
         for t, res in zip(instances, first):
             assert res.accepted and labeling_generates(t, res.labeling)
-        for cache in (winner_table, table_index):
-            assert cache.cache_info().currsize == bound
-        # The first triple's table and index were dropped since.
+        assert winner_table.cache_info().currsize == bound
+        # The first triple's table and its row data were dropped since.
         for t, res in zip(instances, first):
             assert recognize_tableau(t) == res
 
@@ -222,7 +241,7 @@ class TestWinnerCounts:
     def test_matches_a_plain_count(self, p, alpha, beta):
         rng = random.Random(100 * p + 10 * alpha + beta)
         subsets = [frozenset(s) for r in range(1, p + 1) for s in combinations(range(p), r)]
-        _, _, rows = winner_table(p, alpha, beta)
+        rows = winner_table(p, alpha, beta).rows
         for row in rows:
             # Equal winner sets are one object in the table, distinct
             # objects when read from input.
@@ -466,6 +485,28 @@ class TestValidation:
     def test_list_in_a_form_cell_is_a_type_error(self):
         with pytest.raises(TypeError):
             Form(candidates=3, cells=((0, 1), (2, [1])))
+
+    @pytest.mark.parametrize(
+        "kind,cells,message",
+        [
+            (Form, ((0, 1.0, 2), (0, 1, 2), (2, 1, 0)), "candidate 1.0 is not an int"),
+            # The float repeats an earlier int cell, so it is not among the distinct values.
+            (Form, ((0, 1, 2), (2, 1.0, 0), (2, 1, 0)), "candidate 1.0 is not an int"),
+            (Form, (("a",),), "candidate 'a' is not an int"),
+            (Form, ((None,),), "candidate None is not an int"),
+            (Form, ((0, True),), "candidate True is not an int"),
+            (Correspondence, (([0], [1], [2]),) * 3, r"correspondence cell \[0\] is not a frozenset"),
+            (Correspondence, (((0,), frozenset({1})),), r"correspondence cell \(0,\) is not a frozenset"),
+            (
+                Correspondence,
+                ((frozenset({0}), frozenset({1})), (frozenset({1.0}), frozenset({2}))),
+                "candidate 1.0 is not an int",
+            ),
+        ],
+    )
+    def test_wrong_cell_type_is_a_parameter_error(self, kind, cells, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            kind(candidates=3, cells=cells)
 
 
 class TestDefaultNames:

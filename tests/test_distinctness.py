@@ -10,14 +10,17 @@ from davote import (
     correspondence_rows_distinct,
     generate_correspondence,
 )
-from davote.core import enumerate_all_forms, enumerate_strategies, winner_table
+from davote.core import enumerate_strategies, winner_table
 from davote.distinctness import (
-    all_forms_rows_distinct_direct,
     differentiating_set,
     empty_differentiating_pairs,
     identical_correspondence_rows,
 )
-from conftest import neighbor_reduction_check
+from conftest import (
+    all_forms_rows_distinct_direct,
+    enumerate_all_forms,
+    neighbor_reduction_check,
+)
 
 SMALL_GRID = [
     (p, a, b) for p in (2, 3, 4) for a in (1, 2, 3, 4) for b in (1, 2, 3, 4)

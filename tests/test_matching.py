@@ -126,13 +126,14 @@ def _brute_adjacency(cells, row_labels, ys, require_equal):
 class TestColumnAdjacency:
     def test_membership_mode_matches_brute_force(self):
         g = generate_form(3, 1, 2, "max-index")
-        xs, ys, rows = winner_table(3, 1, 2)
+        table = winner_table(3, 1, 2)
+        xs, ys, rows = table.xs, table.ys, table.rows
         got = column_adjacency(g.cells, rows)
         assert got == _brute_adjacency(g.cells, xs, ys, False)
 
     def test_duplicate_columns_share_edges(self):
         g = generate_form(3, 1, 2)
-        _, _, rows = winner_table(3, 1, 2)
+        rows = winner_table(3, 1, 2).rows
         adjacency = column_adjacency(g.cells, rows)
         cols = [tuple(g.cells[i][j] for i in range(g.rows)) for j in range(g.cols)]
         for j1 in range(len(cols)):
@@ -144,7 +145,8 @@ class TestColumnAdjacency:
 class TestLookupColumns:
     def test_labels_fit_equality_brute_force(self):
         h = generate_correspondence(3, 2, 2)
-        xs, ys, rows = winner_table(3, 2, 2)
+        table = winner_table(3, 2, 2)
+        xs, ys, rows = table.xs, table.ys, table.rows
         brute = _brute_adjacency(h.cells, xs, ys, True)
         labels = lookup_columns(h.cells, rows)
         assert all(t in fits for t, fits in zip(labels, brute))
@@ -162,7 +164,8 @@ class TestLookupColumns:
         rng = random.Random(11)
         repeated = unlabeled = 0
         for p, alpha, beta in [(2, 1, 4), (2, 2, 6), (3, 1, 4), (3, 2, 5), (4, 1, 4)]:
-            _, ys, rows = winner_table(p, alpha, beta)
+            table = winner_table(p, alpha, beta)
+            ys, rows = table.ys, table.rows
             for trial in range(6):
                 cells = [list(row) for row in rows]
                 if trial % 2:
@@ -227,7 +230,8 @@ class TestMatchColumnClasses:
         rng = random.Random(23)
         outcomes = set()
         for p, alpha, beta in [(3, 1, 4), (3, 2, 2), (3, 2, 5), (4, 1, 3), (3, 1, 9), (4, 2, 2)]:
-            _, ys, rows = winner_table(p, alpha, beta)
+            table = winner_table(p, alpha, beta)
+            ys, rows = table.ys, table.rows
             for trial in range(8):
                 cells = [list(row) for row in random_resolution(p, alpha, beta, rng).cells]
                 for _ in range(trial % 3):

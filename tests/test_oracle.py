@@ -10,7 +10,6 @@ import pytest
 from davote import (
     ACCEPTED,
     REJECTED,
-    CapExceededError,
     Correspondence,
     Form,
     ParameterError,
@@ -20,11 +19,10 @@ from davote import (
     oracle_recognize,
     permute_tableau,
 )
-from davote.core import enumerate_all_forms, labeling_generates
-from davote.oracle import oracle_count_forms
+from davote.core import labeling_generates
 from davote.recognizer import recognize_correspondence, recognize_form
 import davote.oracle
-from conftest import A, B, corr, form
+from conftest import A, B, CapExceededError, corr, enumerate_all_forms, form, oracle_count_forms
 
 
 def test_oracle_builds_its_own_outcome_grid():
@@ -34,7 +32,7 @@ def test_oracle_builds_its_own_outcome_grid():
     banned = (
         "winner_table",
         "winner_row",
-        "table_index",
+        "WinnerTable",
         "_candidate_masks",
         "_count_bounds",
         "signature_of_strategy",

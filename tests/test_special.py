@@ -49,7 +49,8 @@ class TestCountIntervals:
     def test_pairwise_disjoint_and_ordered(self, p):
         low, mid, top = count_intervals(p)
         assert low.lo <= low.hi < mid.lo <= mid.hi < top.lo <= top.hi
-        xs, _, rows = winner_table(p, 2, 2)
+        table = winner_table(p, 2, 2)
+        xs, rows = table.xs, table.rows
         for x, row in zip(xs, rows):
             lo, hi = _count_bounds(row, p)
             if 2 in x:
