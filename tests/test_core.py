@@ -197,6 +197,15 @@ class TestTableIndex:
         for name in ("bounds", "masks", "signatures"):
             assert getattr(table, name) is getattr(winner_table(3, 2, 3), name)
 
+    def test_generation_leaves_both_caches_alone(self):
+        winner_table.cache_clear()
+        generate_correspondence(3, 2, 4)
+        generate_form(4, 2, 3, "max-index")
+        assert winner_table.cache_info().currsize == 0
+        # A table built afterwards holds no row data until one is read.
+        table = vars(winner_table(3, 2, 4))
+        assert not {"bounds", "masks", "signatures"} & table.keys()
+
     def test_parts_are_built_on_first_read(self):
         winner_table.cache_clear()
         h = generate_correspondence(3, 2, 3)
