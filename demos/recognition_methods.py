@@ -4,10 +4,10 @@ Five ways to say yes or no
 
 Recognition picks its method from the parameters it infers off the grid
 shape: per-candidate winner counts whenever every form has distinct
-rows, a forbidden-pattern scan in the single-card case, plane ranking
-for two candidates, and an exhaustive oracle when the grid is small
-enough to brute-force.  Outside all of that it refuses to guess.  This
-script sends one input down each path.
+rows, the same counts plus a search over the row labelings they allow
+for every other form, a forbidden-pattern scan in the single-card case,
+and plane ranking for two candidates.  The exhaustive oracle is a
+separate cross-check.  This script sends one input down each path.
 """
 
 import random
@@ -43,14 +43,17 @@ show("p=3, alpha=beta=2 (form)", recognize_form(generate_form(3, 2, 2)))
 # any card total.
 show("p=2, alpha=beta=2 (form)", recognize_form(generate_form(2, 2, 2)))
 
-# Small and out of every regime: the exhaustive oracle settles it.
+# Some forms repeat a row here, so the counts leave several strategies
+# per row; a search over the labelings they allow settles it.
 show("p=3, alpha=2, beta=3 (form)", recognize_form(generate_form(3, 2, 3)))
 
-# Large and out of every regime: undecided, with the reason attached.
-big = generate_form(3, 3, 3)
-res = recognize_form(big)
-show("p=3, alpha=beta=3 (form)", res)
-print(f"    refusal reason: {res.witness}")
+# The same search rejects with a reason.  It answers "undecided" only
+# if it tries more labels than its fixed node budget.
+cells = [list(row) for row in generate_form(3, 3, 3).cells]
+cells[0][0] = 2
+res = recognize_form(Form(candidates=3, cells=tuple(map(tuple, cells))))
+show("p=3, alpha=beta=3, one cell moved", res)
+print(f"    reason: {res.witness}")
 print()
 
 # Witnesses are the other half of the contract.  Break one cell of a

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes are uniform across subcommands: 0 for accepted/true, 1 for
-rejected/false, 2 for undecided (out of regime and over the oracle
-guard, or a closed-vs-direct discrepancy), 3 for usage and I/O errors,
-4 for an internal error (a bug: one ``error: internal error: ...`` line
-on stderr instead of a traceback).
+rejected/false, 2 for undecided (a row search over its node budget, an
+input over a size guard, or a closed-vs-direct discrepancy), 3 for
+usage and I/O errors, 4 for an internal error (a bug: one ``error:
+internal error: ...`` line on stderr instead of a traceback).
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _cmd_generate_n(args) -> int:
 
 def _cmd_recognize(args) -> int:
     t, names = load_tableau(args.file)
-    res = recognize_tableau(t, oracle_cells=args.oracle_cells)
+    res = recognize_tableau(t)
     _emit(dumps_result(res, names), args.output)
     return _VERDICT_EXIT[res.verdict]
 
@@ -229,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("recognize", help="decide whether a tableau file is "
                        "distributed approval and recover its labeling")
     s.add_argument("file")
-    s.add_argument("--oracle-cells", type=int, default=DEFAULT_MAX_CELLS,
-                   help="cell budget for the exhaustive fallback")
     _add_output(s)
     s.set_defaults(func=_cmd_recognize)
 

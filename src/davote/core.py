@@ -82,7 +82,7 @@ class NoParametersError(ParameterError):
 
 
 class CellTypeError(ParameterError, TypeError):
-    """Raised for a grid cell of the wrong type; also a `TypeError`."""
+    """Raised for a grid, cell or candidate count of the wrong type; also a `TypeError`."""
 
 
 class SizeGuardError(RuntimeError):
@@ -275,8 +275,14 @@ class Form:
 
 
 def _validate_grid(cells, p: int, kind: str) -> None:
+    if type(p) is not int:
+        raise CellTypeError(f"candidate count {p!r} is not an int")
     if p < 2:
         raise ParameterError(f"need at least 2 candidates, got p={p}")
+    if not isinstance(cells, (tuple, list)) or not all(
+        isinstance(row, (tuple, list)) for row in cells
+    ):
+        raise CellTypeError(f"{kind} cells must be a sequence of rows")
     if not cells or not cells[0]:
         raise ParameterError(f"empty {kind} matrix")
     width = len(cells[0])

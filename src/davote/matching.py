@@ -1,27 +1,28 @@
 """Row and column labeling and the accept step shared by the recognizers.
 
-Form rows are labeled by per-candidate winner counts, on the
-winner-count route and for single-card forms alike.  A correspondence
-column is labeled by looking up its content.  Form columns are matched
-to strategies as content classes: columns with equal content fit the
-same strategies, so each class is one vertex with a multiplicity, and
-the fit of a class is one bitmask (bit t set when strategy t fits):
-the AND over the rows of the per-candidate `core.WinnerTable.masks`.  Labeling the columns is then a b-matching of classes to
-strategies: a greedy fill, then shortest augmenting chains found
-breadth first, as in Hopcroft & Karp (SIAM J. Comput. 2(4), 1973), one
-chain at a time for the classes left short.  Classes are taken in order
-of their first column and strategies in increasing index, so results
-are deterministic for a fixed input.
+Form rows are labeled by backtracking over the all-different constraint
+that their winner-count fits define (Régin, AAAI 1994).  A
+correspondence column is labeled by looking up its content.  Form
+columns are matched to strategies as content classes: columns with
+equal content fit the same strategies, so each class is one vertex with
+a multiplicity, and the fit of a class is one bitmask (bit t set when
+strategy t fits): the AND over the rows of the per-candidate
+`core.WinnerTable.masks`.  Labeling the columns is then a b-matching of
+classes to strategies: a greedy fill, then shortest augmenting chains
+found breadth first, as in Hopcroft & Karp (SIAM J. Comput. 2(4),
+1973), one chain at a time for the classes left short.  Classes are
+taken in order of their first column and strategies in increasing
+index, so results are deterministic for a fixed input.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
-from operator import and_, contains, eq, le
+from itertools import accumulate, islice
+from operator import and_, contains, eq, le, or_
 
-from .core import CandidateSet, Correspondence, Form, Labeling, WinnerTable, winner_counts
-from .results import ACCEPTED, REJECTED, RecognitionResult
+from .core import CandidateSet, Correspondence, Form, Labeling, WinnerTable
+from .results import ACCEPTED, REJECTED, UNDECIDED, RecognitionResult
 
 __all__ = [
     "match_column_classes",
@@ -29,6 +30,8 @@ __all__ = [
     "accept_row_labels",
     "accept_counted_rows",
 ]
+
+_ROW_NODES = 10_000  # labels the row search may try on one form
 
 
 def _bits(mask: int):
@@ -173,40 +176,76 @@ def accept_row_labels(
     return RecognitionResult(ACCEPTED, method, labeling=labeling)
 
 
-def accept_counted_rows(g: Form, method: str, table: WinnerTable) -> RecognitionResult:
+def accept_counted_rows(
+    g: Form, method: str, table: WinnerTable, first_leaf: bool = False
+) -> RecognitionResult:
     """Label the rows of form `g` by winner counts, then `accept_row_labels`.
 
-    Row i fits strategy x when each candidate's count in it lies within
-    the count bounds of x's table row (`WinnerTable.bounds`); a
-    row that fits none rejects `g`.  A row that fits one strategy takes
-    it.  Rows that fit several take, in row order, the lowest fitting
-    strategy no other row holds yet, or the lowest fitting one if all
-    are held (the duplicate check then rejects).  Where every form has
-    distinct rows, no row fits two.
+    A class of equal rows fits strategy x when its per-candidate counts
+    lie within x's `WinnerTable.bounds`; a class fitting none rejects.
+    If every class fits one strategy (always, where every form has
+    distinct rows), its rows take it.  Otherwise a depth-first search
+    with an explicit stack gives the rows distinct fitting strategies,
+    fewest fits first, identical rows in increasing order, and returns
+    the first accepted leaf (with `first_leaf`, the first leaf); it
+    rejects when exhausted and is undecided after `_ROW_NODES` labels.
     """
     p = g.candidates
     bounds = table.bounds
-    fits: list[list[int]] = []
+    classes: dict[tuple, list[int]] = {}
     for i, line in enumerate(g.cells):
-        counts = winner_counts(line, p)
+        classes.setdefault(tuple(line), []).append(i)
+    fits = []
+    for line, members in classes.items():
+        counts = tuple(map(line.count, range(p)))
         # Upper bounds first: they rule out most strategies sooner.
-        fit = [
-            xi
-            for xi, (lo, hi) in enumerate(bounds)
-            if all(map(le, counts, hi)) and all(map(le, lo, counts))
-        ]
+        fit = sum(1 << xi for xi, (lo, hi) in enumerate(bounds)
+                  if all(map(le, counts, hi)) and all(map(le, lo, counts)))
         if not fit:
             return RecognitionResult(
                 REJECTED,
                 method,
-                witness=f"row {i} winner counts {list(counts)} fit the bounds of "
-                "0 strategies instead of exactly one",
+                witness=f"row {members[0]} winner counts {list(counts)} fit the bounds "
+                "of 0 strategies instead of exactly one",
             )
         fits.append(fit)
-    held = {fit[0] for fit in fits if len(fit) == 1}
-    assignment = []
-    for fit in fits:
-        xi = fit[0] if len(fit) == 1 else next((x for x in fit if x not in held), fit[0])
-        held.add(xi)
-        assignment.append(xi)
-    return accept_row_labels(g, method, table, assignment)
+    order = sorted(zip(fits, classes.values()), key=lambda c: c[0].bit_count())
+    slots = [(fit, c, i) for c, (fit, members) in enumerate(order) for i in members]
+    row_slot = sorted(range(len(slots)), key=lambda k: slots[k][2])
+
+    def accept(bits: list[int]) -> RecognitionResult:
+        assignment = [bits[k].bit_length() - 1 for k in row_slot]
+        return accept_row_labels(g, method, table, assignment)
+
+    if all(fit & (fit - 1) == 0 for fit in fits):
+        return accept([fit for fit, _, _ in slots])
+    n = len(slots)
+    # rest[k]: every strategy that some row of slot k or later fits.
+    rest = list(accumulate((fit for fit, _, _ in reversed(slots)), or_))[::-1] + [0]
+    labels: list[int] = []  # the strategy bit of each filled slot
+    stack = [slots[0][0]]  # the untried strategy bits of each open slot
+    used = nodes = 0
+    while stack and nodes < _ROW_NODES:
+        if len(labels) == len(stack):
+            used ^= labels.pop()
+        opts = stack.pop()
+        if opts:
+            bit = opts & -opts
+            stack.append(opts ^ bit)
+            labels.append(bit)
+            used |= bit
+            nodes += 1
+            k = len(labels)
+            if k == n:
+                res = accept(labels)
+                if first_leaf or res.verdict == ACCEPTED:
+                    return res
+            elif (rest[k] & ~used).bit_count() >= n - k:
+                fit, c, _ = slots[k]
+                # Identical rows take increasing strategies.
+                stack.append(fit & ~used & (-(bit << 1) if c == slots[k - 1][1] else -1))
+    if stack:
+        witness = f"row search stopped at its budget of {_ROW_NODES} nodes"
+        return RecognitionResult(UNDECIDED, method, witness=witness)
+    witness = f"no row labeling the bounds allow regenerates the input ({nodes} search nodes)"
+    return RecognitionResult(REJECTED, method, witness=witness)

@@ -30,7 +30,7 @@ from itertools import combinations
 
 from .core import Candidate, Form, winner_table
 from .matching import accept_counted_rows
-from .results import ACCEPTED, REJECTED, RecognitionResult
+from .results import REJECTED, RecognitionResult
 
 __all__ = [
     "ForbiddenWitness",
@@ -154,9 +154,9 @@ def recognize_plurality_form(g: Form) -> RecognitionResult:
 
     The rows are labeled by their winner counts, which pin each row
     repeating a candidate to that candidate and give the rows repeating
-    nothing the unused candidates in index order; the shared accept step
-    matches the columns and checks regeneration (labels as unit-vector
-    strategies).  A rejection's witness is a forbidden pattern.
+    nothing (in a valid form, all equal to the column labels) the unused
+    candidates in index order; the first such labeling goes to the shared
+    accept step.  A rejection's witness is a forbidden pattern.
     """
     p = g.candidates
     if g.rows != g.cols or g.rows != p:
@@ -165,7 +165,7 @@ def recognize_plurality_form(g: Form) -> RecognitionResult:
             "plurality",
             witness=f"single-card tableau must be {p} x {p}, got {g.rows} x {g.cols}",
         )
-    res = accept_counted_rows(g, "plurality", winner_table(p, 1, 1))
-    if res.verdict == ACCEPTED:
+    res = accept_counted_rows(g, "plurality", winner_table(p, 1, 1), first_leaf=True)
+    if res.verdict != REJECTED:
         return res
     return RecognitionResult(REJECTED, "plurality", witness=find_forbidden_submatrix(g))

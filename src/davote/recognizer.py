@@ -1,21 +1,21 @@
-"""Polynomial-time recognition of distributed approval tableaux.
+"""Recognition of distributed approval tableaux.
 
 Every two-candidate grid is read as a two-voter `NTableau` and decided
 by ranking its planes.  Over p >= 3 candidates, correspondences are
 recognized in full generality: per-candidate row signatures pin every
 row to at most one strategy once the wider side is taken as columns.
 
-Forms over p >= 3 are recognized by a dispatch over the voting
-parameters.  The workhorse is the winner-count route wherever every
-form has distinct rows (`all_forms_rows_distinct`), in either
-orientation: a row labeled x wins candidate a in at least the cells
-where a wins alone under x and at most the cells where a is among the
-winners.  In that regime these per-candidate bounds of two distinct
-strategies are disjoint on some candidate, so they isolate a unique
-strategy per row.  Single-card forms run through the same row stage
-(`matching.accept_counted_rows`) and explain a rejection by a forbidden
-pattern; the rest go to the exhaustive oracle when small enough;
-anything else is reported as undecided rather than guessed.
+Forms over p >= 3 with at least as many columns as rows (the others
+are transposed first) go to the single-card route when alpha = beta =
+1 and otherwise to one winner-count row stage,
+`matching.accept_counted_rows`: a row labeled x wins candidate a in at
+least the cells where a wins alone under x and at most the cells where
+a is among the winners.  Where every form has distinct rows
+(`all_forms_rows_distinct`, method "lu-counting") these bounds of two
+distinct strategies are disjoint on some candidate, so they isolate a
+unique strategy per row; elsewhere ("row-search") the stage searches
+the row labelings the bounds allow.  Recognition never calls the
+exhaustive oracle, which stays an independent cross-check.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from .core import (
 )
 from .distinctness import all_forms_rows_distinct
 from .matching import accept_counted_rows, accept_row_labels
-from .oracle import DEFAULT_MAX_CELLS, oracle_recognize
 from .plurality import recognize_plurality_form
-from .results import ACCEPTED, REJECTED, UNDECIDED, RecognitionResult
+from .results import ACCEPTED, REJECTED, RecognitionResult
 from .special import NTableau, recognize_n_tableau
 
 __all__ = [
@@ -107,59 +106,38 @@ def recognize_correspondence(h: Correspondence) -> RecognitionResult:
     return accept_row_labels(h, method, table, assignment)
 
 
-def recognize_form(g: Form, oracle_cells: int = DEFAULT_MAX_CELLS) -> RecognitionResult:
+def recognize_form(g: Form) -> RecognitionResult:
     """Decide whether a single-winner tableau is a distributed approval form.
 
     Dispatches on the inferred voting parameters:
 
     1. p = 2: plane ranking, for any card total;
-    2. every (p, alpha, beta) form has distinct rows: per-candidate
-       winner-count bounds per row (`matching.accept_counted_rows`);
-    3. every (p, beta, alpha) form has distinct rows: the same after
-       transposing;
-    4. alpha = beta = 1: the same winner-count row stage, with a
-       forbidden pattern as the witness of a rejection;
-    5. anything else: the oracle when at most `oracle_cells` cells,
-       otherwise undecided.
+    2. more rows than columns: the same after transposing;
+    3. alpha = beta = 1: `recognize_plurality_form`;
+    4. anything else: the winner-count row stage
+       (`matching.accept_counted_rows`), named "lu-counting" where every
+       form has distinct rows and "row-search" otherwise.
     """
     p = g.candidates
     try:
         alpha, beta = infer_parameters(g.rows, g.cols, p)
     except NoParametersError as e:
-        return RecognitionResult(REJECTED, "oracle", witness=str(e))
+        return RecognitionResult(REJECTED, "row-search", witness=str(e))
 
     if p == 2:
         return _recognize_two_candidates(g, alpha, beta)
-    if all_forms_rows_distinct(p, alpha, beta):
-        return accept_counted_rows(g, "lu-counting", winner_table(p, alpha, beta))
-    if all_forms_rows_distinct(p, beta, alpha):
-        return _swap_labeling(
-            accept_counted_rows(
-                transpose_tableau(g), "lu-counting", winner_table(p, beta, alpha)
-            )
-        )
+    if g.cols < g.rows:
+        return _swap_labeling(recognize_form(transpose_tableau(g)))
     if alpha == 1 and beta == 1:
         return recognize_plurality_form(g)
-    if g.rows * g.cols > oracle_cells:
-        return RecognitionResult(
-            UNDECIDED,
-            "oracle",
-            witness=f"parameters p={p}, alpha={alpha}, beta={beta} fall outside "
-            f"every implemented regime, and {g.rows} x {g.cols} exceeds the "
-            f"oracle guard of {oracle_cells} cells",
-        )
-    report = oracle_recognize(g, max_cells=oracle_cells)
-    if report.is_dav:
-        return RecognitionResult(ACCEPTED, "oracle", labeling=report.one_labeling)
-    return RecognitionResult(
-        REJECTED, "oracle", witness="exhaustive search found no labeling"
-    )
+    method = "lu-counting" if all_forms_rows_distinct(p, alpha, beta) else "row-search"
+    return accept_counted_rows(g, method, winner_table(p, alpha, beta))
 
 
-def recognize_tableau(t: Correspondence | Form | NTableau, **kwargs) -> RecognitionResult:
-    """Dispatch on the tableau type; keyword options go to `recognize_form`."""
+def recognize_tableau(t: Correspondence | Form | NTableau) -> RecognitionResult:
+    """Dispatch on the tableau type."""
     if isinstance(t, NTableau):
         return recognize_n_tableau(t)
     if isinstance(t, Correspondence):
         return recognize_correspondence(t)
-    return recognize_form(t, **kwargs)
+    return recognize_form(t)

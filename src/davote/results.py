@@ -14,15 +14,15 @@ UNDECIDED = "undecided"
 
 # How a verdict was reached.  "two-candidate" covers every p = 2
 # tableau (plane ranking, any number of voters), "signature-matching"
-# the other correspondences, "lu-counting" the p >= 3 forms whose rows
-# are always distinct (either orientation), "plurality" the single-card
-# case and "oracle" exhaustive search.
+# the other correspondences, "plurality" the single-card forms, and the
+# winner-count row stage the other forms: "lu-counting" where all rows
+# are always distinct (either orientation), "row-search" elsewhere.
 METHODS = (
     "signature-matching",
     "lu-counting",
+    "row-search",
     "plurality",
     "two-candidate",
-    "oracle",
 )
 
 
@@ -34,8 +34,8 @@ class RecognitionResult:
     result always carries a labeling that regenerates the input exactly
     (cell equality for correspondences, cell membership for forms).  A
     rejected result carries a witness describing one reason for the
-    failure; "undecided" marks inputs outside every implemented regime
-    that are too large for the exhaustive oracle.
+    failure; "undecided" marks a form whose row search spent its node
+    budget (`matching._ROW_NODES`), and the witness names the budget.
     """
 
     verdict: str

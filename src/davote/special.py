@@ -20,6 +20,7 @@ from .core import (
     PlaneLabeling,
     TIE_RULES,
     _check_cells,
+    _validate_grid,
 )
 from .results import ACCEPTED, REJECTED, RecognitionResult
 
@@ -54,8 +55,8 @@ class NTableau:
             raise ParameterError(f"unknown tableau kind {self.kind!r}")
         if not self.weights:
             raise ParameterError("need at least one voter")
-        if any(w < 1 for w in self.weights):
-            raise ParameterError("voter weights must be >= 1")
+        if any(type(w) is not int or w < 1 for w in self.weights):
+            raise ParameterError("voter weights must be ints >= 1")
         expected = 1
         for w in self.weights:
             expected *= w + 1
@@ -64,12 +65,7 @@ class NTableau:
                 f"expected {expected} cells for weights {self.weights}, "
                 f"got {len(self.cells)}"
             )
-        for cell in self.cells:
-            if self.kind == "correspondence":
-                if not isinstance(cell, frozenset) or not cell or not cell <= {A, B}:
-                    raise ParameterError(f"bad correspondence cell {cell!r}")
-            elif cell not in (A, B):
-                raise ParameterError(f"bad form cell {cell!r}")
+        _validate_grid((self.cells,), 2, self.kind)
 
     @property
     def dims(self) -> tuple[int, ...]:

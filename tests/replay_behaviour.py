@@ -5,6 +5,7 @@ to show that a change keeps every verdict, method, witness and labeling.
 
     PYTHONPATH=src python tests/replay_behaviour.py            # count and hash
     PYTHONPATH=src python tests/replay_behaviour.py --lines    # one line per instance
+    PYTHONPATH=src python tests/replay_behaviour.py --expect SHA  # exit 1 on another hash
 
 The instances are every 3 x 3 single-card grid, through both
 `recognize_tableau` and `recognize_plurality_form`, and, for every
@@ -17,6 +18,7 @@ set is the same on every run.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import random
 import sys
@@ -85,7 +87,11 @@ def instances():
             yield f"{key} {label}", recognize_tableau, kind(p, _shuffled(cells, rng))
 
 
-def main(argv: list[str]) -> None:
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Replay the fixed instance set.")
+    parser.add_argument("--lines", action="store_true", help="print one line per instance")
+    parser.add_argument("--expect", metavar="SHA", help="exit 1 unless the hash is SHA")
+    args = parser.parse_args(argv)
     digest = hashlib.sha256()
     count = 0
     for name, recognize, t in instances():
@@ -93,10 +99,14 @@ def main(argv: list[str]) -> None:
         line = f"{name}\t{res.verdict}\t{res.method}\t{res.witness!r}\t{res.labeling!r}"
         digest.update(line.encode() + b"\n")
         count += 1
-        if "--lines" in argv:
+        if args.lines:
             print(line)
     print(f"{count} instances, sha256 {digest.hexdigest()}")
+    if args.expect is not None and digest.hexdigest() != args.expect:
+        print(f"expected sha256 {args.expect}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

@@ -1,6 +1,6 @@
 """Release acceptance checklist.
 
-Ten numbered gates, one test function each, so a verbose pytest run
+Eleven numbered gates, one test function each, so a verbose pytest run
 prints one pass/fail line per gate.  Each gate restates its scope and
 any time budget in its docstring; budgets are asserted with
 time.monotonic, not merely hoped for.  Gates are independent and can be
@@ -456,3 +456,37 @@ def test_10_large_instance_speed():
     assert res.verdict == ACCEPTED
     assert labeling_generates(h, res.labeling)
     assert elapsed < 5.0
+
+
+def test_11_leftover_forms_agree_with_oracle():
+    """Gate 11: at (3,3,3), (4,4,4) and (5,3,3), where some form has two
+    identical rows in either orientation and the row search decides,
+    ten seeded random tie resolutions, ten one-cell perturbations of
+    them and ten of them with one row copied over another, all
+    shuffled, get the oracle's verdict; every valid form is accepted,
+    and every accept carries a labeling that regenerates its input.
+    Budget: 5 s."""
+    t0 = time.monotonic()
+    for p, a, b in [(3, 3, 3), (4, 4, 4), (5, 3, 3)]:
+        assert not all_forms_rows_distinct(p, a, b)
+        rng = random.Random(11_000 + 100 * p + 10 * a + b)
+        for k in range(10):
+            valid = random_resolution(p, a, b, rng)
+            cells = [list(row) for row in valid.cells]
+            i, j = rng.randrange(len(cells)), rng.randrange(len(cells[0]))
+            cells[i][j] = rng.choice([c for c in range(p) if c != cells[i][j]])
+            perturbed = Form(candidates=p, cells=tuple(map(tuple, cells)))
+            cells = [list(row) for row in valid.cells]
+            i, j = rng.sample(range(len(cells)), 2)
+            cells[i] = cells[j]
+            copied = Form(candidates=p, cells=tuple(map(tuple, cells)))
+            for name, g in (("valid", valid), ("perturbed", perturbed), ("copied", copied)):
+                g, _, _ = shuffle_with_perms(g, rng)
+                res = recognize_form(g)
+                is_dav = oracle_recognize(g, max_cells=10**7).is_dav
+                assert res.verdict == (ACCEPTED if is_dav else REJECTED), (p, a, b, k, name)
+                if name == "valid":
+                    assert res.verdict == ACCEPTED, (p, a, b, k)
+                if res.verdict == ACCEPTED:
+                    assert labeling_generates(g, res.labeling), (p, a, b, k, name)
+    assert time.monotonic() - t0 < 5.0

@@ -13,7 +13,7 @@ from conftest import BAD_M2_ROWS, form
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from davote import cli
+from davote import cli, matching
 from davote.cli import main
 from davote.core import generate_correspondence, generate_form
 from davote.special import generate_n_tableau
@@ -136,19 +136,31 @@ class TestRecognize:
         assert report["verdict"] == "rejected"
         assert report["witness"] is not None
 
-    def test_over_guard_is_undecided(self, capsys, tmp_path):
-        # 10 x 10 cells, out of every fast regime, over the default
-        # oracle budget.
+    def test_over_guard_is_undecided(self, capsys, tmp_path, monkeypatch):
+        # 10 x 10 cells, out of every all-distinct-rows regime; a row
+        # search budget of one node cannot label its ten rows.
+        monkeypatch.setattr(matching, "_ROW_NODES", 1)
         path = self.write(tmp_path, generate_form(3, 3, 3))
         code, out, err = run(capsys, ["recognize", path])
         assert code == 2
-        assert json.loads(out)["verdict"] == "undecided"
+        report = json.loads(out)
+        assert report["verdict"] == "undecided"
+        assert report["method"] == "row-search"
 
-    def test_raised_budget_decides(self, capsys, tmp_path):
+    def test_raised_budget_decides(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(matching, "_ROW_NODES", 1)
+        path = self.write(tmp_path, generate_form(3, 3, 3))
+        monkeypatch.undo()
+        code, out, err = run(capsys, ["recognize", path])
+        assert code == 0
+        report = json.loads(out)
+        assert (report["verdict"], report["method"]) == ("accepted", "row-search")
+
+    def test_oracle_cells_option_is_gone(self, capsys, tmp_path):
         path = self.write(tmp_path, generate_form(3, 3, 3))
         code, out, err = run(capsys, ["recognize", path, "--oracle-cells", "200"])
-        assert code == 0
-        assert json.loads(out)["verdict"] == "accepted"
+        assert code == 3
+        assert out == "" and "--oracle-cells" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, out, err = run(capsys, ["recognize", str(tmp_path / "absent.json")])

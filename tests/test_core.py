@@ -22,6 +22,7 @@ from davote import (
     permute_tableau,
 )
 from davote.core import (
+    CellTypeError,
     WinnerTable,
     _count_bounds,
     argmax_set,
@@ -516,6 +517,21 @@ class TestValidation:
     def test_wrong_cell_type_is_a_parameter_error(self, kind, cells, message):
         with pytest.raises(ParameterError, match=f"^{message}$"):
             kind(candidates=3, cells=cells)
+
+
+    @pytest.mark.parametrize(
+        "candidates,cells,message",
+        [
+            (3, (1, 2), "form cells must be a sequence of rows"),
+            (3, ((0, 1), 5), "form cells must be a sequence of rows"),
+            (3, 5, "form cells must be a sequence of rows"),
+            (3.0, ((0, 1), (1, 0)), "candidate count 3.0 is not an int"),
+            ("3", ((0, 1), (1, 0)), "candidate count '3' is not an int"),
+        ],
+    )
+    def test_malformed_form_is_a_parameter_error(self, candidates, cells, message):
+        with pytest.raises(CellTypeError, match=f"^{message}$"):
+            Form(candidates=candidates, cells=cells)
 
 
 class TestDefaultNames:

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from davote import ACCEPTED, REJECTED, generate_correspondence, generate_form, permute_tableau, recognize_tableau
+from davote import ACCEPTED, REJECTED, UNDECIDED, generate_correspondence, generate_form, permute_tableau, recognize_tableau
 from davote import matching
 from davote.core import (
     Correspondence,
@@ -307,13 +307,27 @@ class TestAcceptCountedRows:
         assert res.verdict == ACCEPTED
         assert res.labeling.row_labels == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-    def test_row_with_every_fit_held_takes_its_lowest(self):
-        # Three rows over the two strategies of the (2, 1, 1) table, each
-        # fitting both: the third takes strategy 0 again.
+    def test_rows_outnumbering_their_fits_are_rejected(self):
+        # Three identical rows over the two strategies of the (2, 1, 1)
+        # table, each fitting both: no labeling by distinct strategies
+        # exists, and the search ends after trying every first label.
         g = Form(candidates=2, cells=((A, B), (A, B), (A, B)))
         res = accept_counted_rows(g, "plurality", winner_table(2, 1, 1))
         assert res.verdict == REJECTED
-        assert res.witness == "rows 0 and 2 both map to strategy (1, 0)"
+        assert res.witness == (
+            "no row labeling the bounds allow regenerates the input "
+            "(2 search nodes)"
+        )
+
+    def test_first_leaf_decides_a_single_card_form(self):
+        # Eight distinct rows that each repeat nothing fit every
+        # strategy: 8! row labelings, all rejected.  The first one
+        # decides; the full search spends its node budget.
+        g = Form(candidates=8, cells=tuple(tuple((i + j) % 8 for j in range(8)) for i in range(8)))
+        table = winner_table(8, 1, 1)
+        assert accept_counted_rows(g, "plurality", table, first_leaf=True).verdict == REJECTED
+        assert accept_counted_rows(g, "plurality", table).verdict == UNDECIDED
+        assert recognize_tableau(g).verdict == REJECTED
 
     def test_row_fitting_no_strategy_is_the_witness(self):
         cells = [list(row) for row in generate_form(3, 1, 2).cells]

@@ -236,23 +236,33 @@ class TestRecognizeFormDispatch:
         assert res.verdict == ACCEPTED
         assert res.method == "two-candidate"
 
-    def test_leftover_regime_small_enough_for_oracle(self):
-        res = recognize_form(generate_form(3, 2, 3))
-        assert res.verdict == ACCEPTED
-        assert res.method == "oracle"
-
-    def test_leftover_regime_above_guard_is_undecided(self):
-        g = generate_form(3, 3, 3)
+    def test_leftover_regime_uses_row_search(self):
+        g = generate_form(3, 2, 3)
         res = recognize_form(g)
-        assert res.verdict == UNDECIDED
-        assert res.method == "oracle"
-        assert "guard" in res.witness or "cells" in res.witness
-
-    def test_guard_can_be_raised(self):
-        g = generate_form(3, 3, 3)
-        res = recognize_form(g, oracle_cells=200)
         assert res.verdict == ACCEPTED
+        assert res.method == "row-search"
         assert labeling_generates(g, res.labeling)
+
+    def test_leftover_regime_above_guard_is_undecided(self, monkeypatch):
+        # Ten rows cannot be labeled within a budget of one search node.
+        monkeypatch.setattr(matching, "_ROW_NODES", 1)
+        res = recognize_form(generate_form(3, 3, 3))
+        assert res.verdict == UNDECIDED
+        assert res.method == "row-search"
+        assert res.witness == "row search stopped at its budget of 1 nodes"
+
+    def test_guard_can_be_raised(self, monkeypatch):
+        g = generate_form(3, 3, 3)
+        monkeypatch.setattr(matching, "_ROW_NODES", 1)
+        assert recognize_form(g).verdict == UNDECIDED
+        monkeypatch.setattr(matching, "_ROW_NODES", 10)
+        res = recognize_form(g)
+        assert (res.verdict, res.method) == (ACCEPTED, "row-search")
+        assert labeling_generates(g, res.labeling)
+
+    def test_oracle_is_not_imported(self):
+        assert not hasattr(recognizer, "oracle_recognize")
+        assert not hasattr(recognizer, "DEFAULT_MAX_CELLS")
 
 
 class TestRecognizeFormBehavior:
@@ -293,6 +303,7 @@ class TestRecognizeFormBehavior:
         g = form(3, ((A, B, A, B, A, B, A),))
         res = recognize_form(g)
         assert res.verdict == REJECTED
+        assert res.method == "row-search"
 
     def test_long_augmenting_paths_round_trip(self):
         # Shuffled (3, 2, 50) forms need augmenting paths deeper than
@@ -401,7 +412,6 @@ class TestTwoCandidates:
             raise AssertionError("a p = 2 grid left plane ranking")
 
         for module, name in [
-            (recognizer, "oracle_recognize"),
             (recognizer, "recognize_plurality_form"),
             (recognizer, "winner_table"),
             (matching, "match_column_classes"),
@@ -429,7 +439,12 @@ class TestRecognizeTableau:
         nt = generate_n_tableau((2, 2, 1))
         assert recognize_tableau(nt).method == "two-candidate"
 
-    def test_kwargs_reach_form_recognition(self):
+    def test_keyword_options_are_gone(self, monkeypatch):
         g = generate_form(3, 3, 3)
+        assert recognize_tableau(g).verdict == ACCEPTED
+        monkeypatch.setattr(matching, "_ROW_NODES", 1)
         assert recognize_tableau(g).verdict == UNDECIDED
-        assert recognize_tableau(g, oracle_cells=200).verdict == ACCEPTED
+        with pytest.raises(TypeError):
+            recognize_tableau(g, oracle_cells=200)
+        with pytest.raises(TypeError):
+            recognize_form(g, oracle_cells=200)

@@ -167,6 +167,20 @@ class TestNTableauBasics:
         with pytest.raises(ParameterError):
             NTableau(weights=(1,), kind="form", cells=(frozenset({A}), B))
 
+    @pytest.mark.parametrize(
+        "weights,kind,cells,message",
+        [
+            ((1, 1), "form", (0.0, 1, 0, 1), "candidate 0.0 is not an int"),
+            ((1, 1), "form", (0, 1, True, 1), "candidate True is not an int"),
+            ((1,), "correspondence", (frozenset({0.0}), frozenset({1})), "candidate 0.0 is not an int"),
+            ((1,), "correspondence", (frozenset({True}), frozenset({0})), "candidate True is not an int"),
+            ((1.0,), "form", (0, 1), "voter weights must be ints >= 1"),
+        ],
+    )
+    def test_wrong_cell_type_is_a_parameter_error(self, weights, kind, cells, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            NTableau(weights=weights, kind=kind, cells=cells)
+
     def test_weights_validation(self):
         with pytest.raises(ParameterError):
             generate_n_tableau(())
