@@ -15,7 +15,7 @@ import time
 
 from davote.core import Form, generate_correspondence, generate_form
 from davote.oracle import oracle_recognize
-from davote.recognizer import recognize_correspondence, recognize_form
+from davote.recognizer import recognize_tableau
 from davote.special import generate_n_tableau, permute_axes, recognize_n_tableau
 
 
@@ -26,32 +26,32 @@ def show(tag, result):
 print("one input per recognition path:")
 
 # Plenty of column cards: per-row winner counts pin down each row label.
-show("p=3, alpha=1, beta=3 (form)", recognize_form(generate_form(3, 1, 3)))
+show("p=3, alpha=1, beta=3 (form)", recognize_tableau(generate_form(3, 1, 3)))
 
 # The mirrored regime transposes first, then runs the same counting.
-show("p=3, alpha=3, beta=1 (form)", recognize_form(generate_form(3, 3, 1)))
+show("p=3, alpha=3, beta=1 (form)", recognize_tableau(generate_form(3, 3, 1)))
 
 # One card each: winner-count row labels, forbidden patterns as witnesses.
-show("p=4, alpha=beta=1 (form)", recognize_form(generate_form(4, 1, 1)))
+show("p=4, alpha=beta=1 (form)", recognize_tableau(generate_form(4, 1, 1)))
 
 # Two cards each: rows are still always distinct, so the same counting
 # applies.
-show("p=3, alpha=beta=2 (form)", recognize_form(generate_form(3, 2, 2)))
+show("p=3, alpha=beta=2 (form)", recognize_tableau(generate_form(3, 2, 2)))
 
 # Two candidates: a strategy is the number of cards on the first one,
 # so ranking rows and columns by their winner counts labels them, for
 # any card total.
-show("p=2, alpha=beta=2 (form)", recognize_form(generate_form(2, 2, 2)))
+show("p=2, alpha=beta=2 (form)", recognize_tableau(generate_form(2, 2, 2)))
 
 # Some forms repeat a row here, so the counts leave several strategies
 # per row; a search over the labelings they allow settles it.
-show("p=3, alpha=2, beta=3 (form)", recognize_form(generate_form(3, 2, 3)))
+show("p=3, alpha=2, beta=3 (form)", recognize_tableau(generate_form(3, 2, 3)))
 
 # The same search rejects with a reason.  It answers "undecided" only
 # if it tries more labels than its fixed node budget.
 cells = [list(row) for row in generate_form(3, 3, 3).cells]
 cells[0][0] = 2
-res = recognize_form(Form(candidates=3, cells=tuple(map(tuple, cells))))
+res = recognize_tableau(Form(candidates=3, cells=tuple(map(tuple, cells))))
 show("p=3, alpha=beta=3, one cell moved", res)
 print(f"    reason: {res.witness}")
 print()
@@ -59,7 +59,7 @@ print()
 # Witnesses are the other half of the contract.  Break one cell of a
 # single-card grid and the rejection names the pattern it found.
 bad = Form(candidates=3, cells=((0, 1, 1), (2, 0, 1), (2, 2, 0)))
-res = recognize_form(bad)
+res = recognize_tableau(bad)
 print("a broken single-card grid:")
 print(f"  verdict {res.verdict}, witness: {res.witness.describe()}")
 print()
@@ -87,6 +87,6 @@ print()
 # Speed check: plane ranking sorts the rows and columns once and checks
 # every cell once, so even sixty cards a side answers quickly.
 t0 = time.monotonic()
-res = recognize_correspondence(generate_correspondence(2, 60, 60))
+res = recognize_tableau(generate_correspondence(2, 60, 60))
 print(f"61 x 61 correspondence recognized in {time.monotonic() - t0:.3f}s "
       f"({res.verdict})")

@@ -19,7 +19,7 @@ from davote.core import (
     permute_tableau,
     row_signature,
 )
-from davote.recognizer import recognize_correspondence
+from davote.recognizer import recognize_tableau
 from davote.tableau_io import dumps_tableau
 
 # Three cards each over two candidates: four strategies per voter,
@@ -61,7 +61,7 @@ shuffled = permute_tableau(h, row_perm, col_perm)
 print("after shuffling rows and columns:")
 print(dumps_tableau(shuffled, fmt="text"))
 
-result = recognize_correspondence(shuffled)
+result = recognize_tableau(shuffled)
 print(f"verdict: {result.verdict} (method: {result.method})")
 print("recovered row labels, in shuffled row order:")
 for i, x in enumerate(result.labeling.row_labels):

@@ -277,8 +277,7 @@ class Form:
 def _validate_grid(cells, p: int, kind: str) -> None:
     if type(p) is not int:
         raise CellTypeError(f"candidate count {p!r} is not an int")
-    if p < 2:
-        raise ParameterError(f"need at least 2 candidates, got p={p}")
+    _check_params(p)
     if not isinstance(cells, (tuple, list)) or not all(
         isinstance(row, (tuple, list)) for row in cells
     ):
@@ -421,8 +420,7 @@ def infer_parameters(k: int, l: int, p: int) -> tuple[int, int]:
     `NoParametersError` when a dimension matches no weight, which means
     the matrix cannot be a distributed approval tableau for this p.
     """
-    if p < 2:
-        raise ParameterError(f"need at least 2 candidates, got p={p}")
+    _check_params(p)
 
     def invert(n: int, what: str) -> int:
         w = 1

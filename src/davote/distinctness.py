@@ -19,6 +19,7 @@ from .core import (
     ParameterError,
     SizeGuardError,
     Strategy,
+    _check_params,
     enumerate_strategies,
     strategy_count,
     winner_row,
@@ -57,10 +58,7 @@ def correspondence_rows_distinct(p: int, alpha: int, beta: int) -> bool:
     unit strategies and already their singleton-vs-singleton winner sets
     at suitable columns differ.
     """
-    if p < 2:
-        raise ParameterError(f"need at least 2 candidates, got p={p}")
-    if alpha < 1 or beta < 1:
-        raise ParameterError("voter weights must be >= 1")
+    _check_params(p, alpha, beta)
     if alpha == 1:
         return True
     return beta >= alpha - 2
@@ -97,10 +95,7 @@ def all_forms_rows_distinct(p: int, alpha: int, beta: int) -> bool:
     * p = 3: beta >= 2*alpha, or beta == 2*alpha - 2;
     * p >= 4: (alpha, beta) != (1, 1) and beta >= 2*alpha - 2.
     """
-    if p < 2:
-        raise ParameterError(f"need at least 2 candidates, got p={p}")
-    if alpha < 1 or beta < 1:
-        raise ParameterError("voter weights must be >= 1")
+    _check_params(p, alpha, beta)
     if p == 2:
         return beta >= alpha - 1 and (alpha + beta) % 2 == 1
     if p == 3:

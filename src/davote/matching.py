@@ -176,9 +176,7 @@ def accept_row_labels(
     return RecognitionResult(ACCEPTED, method, labeling=labeling)
 
 
-def accept_counted_rows(
-    g: Form, method: str, table: WinnerTable, first_leaf: bool = False
-) -> RecognitionResult:
+def accept_counted_rows(g: Form, method: str, table: WinnerTable) -> RecognitionResult:
     """Label the rows of form `g` by winner counts, then `accept_row_labels`.
 
     A class of equal rows fits strategy x when its per-candidate counts
@@ -187,8 +185,8 @@ def accept_counted_rows(
     distinct rows), its rows take it.  Otherwise a depth-first search
     with an explicit stack gives the rows distinct fitting strategies,
     fewest fits first, identical rows in increasing order, and returns
-    the first accepted leaf (with `first_leaf`, the first leaf); it
-    rejects when exhausted and is undecided after `_ROW_NODES` labels.
+    the first accepted leaf; it rejects when exhausted and is undecided
+    after `_ROW_NODES` labels.
     """
     p = g.candidates
     bounds = table.bounds
@@ -238,7 +236,7 @@ def accept_counted_rows(
             k = len(labels)
             if k == n:
                 res = accept(labels)
-                if first_leaf or res.verdict == ACCEPTED:
+                if res.verdict == ACCEPTED:
                     return res
             elif (rest[k] & ~used).bit_count() >= n - k:
                 fit, c, _ = slots[k]

@@ -23,6 +23,7 @@ from .core import (
     enumerate_strategies,
     infer_parameters,
     row_signature,
+    transpose_tableau,
 )
 
 __all__ = ["OracleReport", "oracle_recognize"]
@@ -53,9 +54,11 @@ def oracle_recognize(
 ) -> OracleReport:
     """Decide a small tableau by backtracking over labelings.
 
-    Raises `ParameterError` when `cap` is below 1, and `SizeGuardError`
-    when the tableau has more than `max_cells` cells.  The verdict is
-    exact; the labeling count stops at `cap`.
+    A tableau with more rows than columns is searched transposed, since
+    the search branches once per row.  Raises `ParameterError` when
+    `cap` is below 1, and `SizeGuardError` when the tableau has more
+    than `max_cells` cells.  The verdict is exact; the labeling count
+    stops at `cap`.
     """
     if cap < 1:
         raise ParameterError(f"labeling cap must be >= 1, got {cap}")
@@ -64,6 +67,12 @@ def oracle_recognize(
         raise SizeGuardError(
             f"{k} x {n_cols} tableau exceeds the oracle guard of {max_cells} cells"
         )
+    if k > n_cols:
+        report = oracle_recognize(transpose_tableau(t), cap, max_cells)
+        if report.one_labeling is not None:
+            lab = report.one_labeling
+            report.one_labeling = Labeling(lab.col_labels, lab.row_labels)
+        return report
     p = t.candidates
     try:
         alpha, beta = infer_parameters(k, n_cols, p)

@@ -15,22 +15,22 @@ patterns, taken up to row and column permutations:
 * m3: four cells in one line (row or column) covering two candidates
   twice each.
 
-Recognition runs the winner-count row stage shared with the other form
-routes, `matching.accept_counted_rows`, over the ``(p, 1, 1)`` winner
-table, whose strategy v is candidate v: a row repeating only v fits
-only v, a row repeating nothing fits every candidate, and a row
-repeating two candidates fits none.  Every rejection is explained by a
-forbidden pattern.
+In a valid form a row repeats at most its own label, and every row
+repeating nothing equals the column labels.  That fixes the only row
+labeling worth trying, which the accept step shared with the other
+routes, `matching.accept_row_labels`, checks over the ``(p, 1, 1)``
+winner table.  Every rejection is explained by a forbidden pattern.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 from .core import Candidate, Form, winner_table
-from .matching import accept_counted_rows
-from .results import REJECTED, RecognitionResult
+from .matching import accept_row_labels
+from .results import ACCEPTED, REJECTED, RecognitionResult
 
 __all__ = [
     "ForbiddenWitness",
@@ -152,11 +152,12 @@ def find_forbidden_submatrix(g: Form) -> ForbiddenWitness | None:
 def recognize_plurality_form(g: Form) -> RecognitionResult:
     """Decide whether a p x p single-card form is distributed approval.
 
-    The rows are labeled by their winner counts, which pin each row
-    repeating a candidate to that candidate and give the rows repeating
-    nothing (in a valid form, all equal to the column labels) the unused
-    candidates in index order; the first such labeling goes to the shared
-    accept step.  A rejection's witness is a forbidden pattern.
+    A row repeating one candidate is labeled with it (strategy v of the
+    table is candidate v), and the rows repeating nothing, when they are
+    all identical, with the unused candidates in index order; that
+    labeling goes to the shared accept step.  Any other form, and a
+    labeling the accept step rejects, is rejected with a forbidden
+    pattern as witness.
     """
     p = g.candidates
     if g.rows != g.cols or g.rows != p:
@@ -165,7 +166,12 @@ def recognize_plurality_form(g: Form) -> RecognitionResult:
             "plurality",
             witness=f"single-card tableau must be {p} x {p}, got {g.rows} x {g.cols}",
         )
-    res = accept_counted_rows(g, "plurality", winner_table(p, 1, 1), first_leaf=True)
-    if res.verdict != REJECTED:
-        return res
+    repeats = [[v for v, n in Counter(line).items() if n > 1] for line in g.cells]
+    plain = {tuple(line) for line, rep in zip(g.cells, repeats) if not rep}
+    if len(plain) <= 1 and all(len(rep) <= 1 for rep in repeats):
+        spare = iter(sorted(set(range(p)).difference(*repeats)))
+        assignment = [rep[0] if rep else next(spare) for rep in repeats]
+        res = accept_row_labels(g, "plurality", winner_table(p, 1, 1), assignment)
+        if res.verdict == ACCEPTED:
+            return res
     return RecognitionResult(REJECTED, "plurality", witness=find_forbidden_submatrix(g))

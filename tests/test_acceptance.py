@@ -59,11 +59,7 @@ from davote.distinctness import (
 )
 from davote.oracle import oracle_recognize
 from davote.plurality import _find_m1, _find_m2, _find_m3, recognize_plurality_form
-from davote.recognizer import (
-    recognize_correspondence,
-    recognize_form,
-    recognize_tableau,
-)
+from davote.recognizer import recognize_tableau
 from davote.results import ACCEPTED, REJECTED
 from davote.special import (
     NTableau,
@@ -155,7 +151,7 @@ def test_02_correspondence_round_trip():
         h = generate_correspondence(p, a, b)
         for seed in range(20):
             shuffled, _, _ = shuffle_with_perms(h, random.Random(seed))
-            res = recognize_correspondence(shuffled)
+            res = recognize_tableau(shuffled)
             assert res.verdict == ACCEPTED, (p, a, b, seed)
             assert labeling_generates(shuffled, res.labeling), (p, a, b, seed)
     assert time.monotonic() - t0 < 60.0
@@ -282,7 +278,7 @@ def test_06_form_recognition_in_regime():
         instances += [random_resolution(p, a, b, rng) for _ in range(10)]
         for g in instances:
             shuffled, rp, _ = shuffle_with_perms(g, rng)
-            res = recognize_form(shuffled)
+            res = recognize_tableau(shuffled)
             assert res.verdict == ACCEPTED, (p, a, b)
             for i, x in enumerate(res.labeling.row_labels):
                 assert x == xs[rp[i]], (p, a, b, i)
@@ -302,7 +298,7 @@ def test_06_form_recognition_in_regime():
             cells[i][j] = outside[0]
             bad = Form(candidates=p, cells=tuple(tuple(row) for row in cells))
             cells[i][j] = keep
-            res = recognize_form(bad)
+            res = recognize_tableau(bad)
             assert res.verdict in (ACCEPTED, REJECTED), (p, a, b, i, j)
             if res.verdict == ACCEPTED:
                 assert labeling_generates(bad, res.labeling), (p, a, b, i, j)
@@ -350,7 +346,7 @@ def test_08_two_card_regime():
     generated += [random_resolution(3, 2, 2, rng) for _ in range(10)]
     for g in generated:
         shuffled, _, _ = shuffle_with_perms(g, rng)
-        assert recognize_form(shuffled).verdict == ACCEPTED
+        assert recognize_tableau(shuffled).verdict == ACCEPTED
         assert oracle_recognize(shuffled).is_dav
 
     for g in generated[:2]:
@@ -365,7 +361,7 @@ def test_08_two_card_regime():
                     bad = Form(
                         candidates=3, cells=tuple(tuple(row) for row in cells)
                     )
-                    fast = recognize_form(bad).verdict == ACCEPTED
+                    fast = recognize_tableau(bad).verdict == ACCEPTED
                     assert fast == oracle_recognize(bad).is_dav, (i, j, v)
                 cells[i][j] = keep
 
@@ -374,7 +370,7 @@ def test_08_two_card_regime():
             tuple(rng.randrange(3) for _ in range(6)) for _ in range(6)
         )
         g = Form(candidates=3, cells=cells)
-        fast = recognize_form(g).verdict == ACCEPTED
+        fast = recognize_tableau(g).verdict == ACCEPTED
         assert fast == oracle_recognize(g).is_dav, cells
 
 
@@ -451,7 +447,7 @@ def test_10_large_instance_speed():
     budget.  Budget: 5 s."""
     h = generate_correspondence(2, 60, 60)
     t0 = time.monotonic()
-    res = recognize_correspondence(h)
+    res = recognize_tableau(h)
     elapsed = time.monotonic() - t0
     assert res.verdict == ACCEPTED
     assert labeling_generates(h, res.labeling)
@@ -482,7 +478,7 @@ def test_11_leftover_forms_agree_with_oracle():
             copied = Form(candidates=p, cells=tuple(map(tuple, cells)))
             for name, g in (("valid", valid), ("perturbed", perturbed), ("copied", copied)):
                 g, _, _ = shuffle_with_perms(g, rng)
-                res = recognize_form(g)
+                res = recognize_tableau(g)
                 is_dav = oracle_recognize(g, max_cells=10**7).is_dav
                 assert res.verdict == (ACCEPTED if is_dav else REJECTED), (p, a, b, k, name)
                 if name == "valid":

@@ -22,7 +22,7 @@ from davote import (
 )
 from davote.core import default_names
 from davote.plurality import recognize_plurality_form
-from davote.recognizer import recognize_correspondence
+from davote.recognizer import recognize_tableau
 from davote.special import recognize_n_tableau
 from conftest import A, B, form
 
@@ -185,7 +185,7 @@ class TestFiles:
 
 class TestResultSerialization:
     def test_accepted_two_voter(self, corr_2_3_3):
-        res = recognize_correspondence(corr_2_3_3)
+        res = recognize_tableau(corr_2_3_3)
         data = json.loads(dumps_result(res))
         assert data["verdict"] == "accepted"
         assert data["method"] == "two-candidate"

@@ -20,6 +20,7 @@ from davote.core import (
     winner_table,
 )
 from davote.matching import accept_counted_rows, lookup_columns, match_column_classes
+from davote.plurality import ForbiddenWitness, recognize_plurality_form
 from conftest import (
     A,
     B,
@@ -321,13 +322,15 @@ class TestAcceptCountedRows:
 
     def test_first_leaf_decides_a_single_card_form(self):
         # Eight distinct rows that each repeat nothing fit every
-        # strategy: 8! row labelings, all rejected.  The first one
-        # decides; the full search spends its node budget.
+        # strategy: 8! row labelings, all rejected, and the row search
+        # spends its node budget.  The single-card route never searches:
+        # in a valid form such rows all equal the column labels.
         g = Form(candidates=8, cells=tuple(tuple((i + j) % 8 for j in range(8)) for i in range(8)))
         table = winner_table(8, 1, 1)
-        assert accept_counted_rows(g, "plurality", table, first_leaf=True).verdict == REJECTED
         assert accept_counted_rows(g, "plurality", table).verdict == UNDECIDED
-        assert recognize_tableau(g).verdict == REJECTED
+        for res in (recognize_plurality_form(g), recognize_tableau(g)):
+            assert res.verdict == REJECTED
+            assert isinstance(res.witness, ForbiddenWitness)
 
     def test_row_fitting_no_strategy_is_the_witness(self):
         cells = [list(row) for row in generate_form(3, 1, 2).cells]

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import inspect
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from davote import (
     ACCEPTED,
@@ -20,9 +24,18 @@ from davote import (
     permute_tableau,
 )
 from davote.core import labeling_generates
-from davote.recognizer import recognize_correspondence, recognize_form
+from davote.recognizer import recognize_tableau
 import davote.oracle
-from conftest import A, B, CapExceededError, corr, enumerate_all_forms, form, oracle_count_forms
+from conftest import (
+    A,
+    B,
+    CapExceededError,
+    corr,
+    enumerate_all_forms,
+    form,
+    oracle_count_forms,
+    random_resolution,
+)
 
 
 def test_oracle_builds_its_own_outcome_grid():
@@ -87,6 +100,21 @@ class TestOracleRecognize:
             assert rep.is_dav
             assert labeling_generates(g, rep.one_labeling)
 
+    def test_tall_input_is_searched_transposed(self):
+        # A shuffled random-tie (3, 9, 5) form: a (3, 5, 9) form given
+        # as 55 x 21.  With its 55 rows searched first it took more than
+        # 5 s; as 21 x 55 it takes a fraction of a second.
+        rng = random.Random(25)
+        g = random_resolution(3, 9, 5, rng)
+        rp, cp = list(range(g.rows)), list(range(g.cols))
+        rng.shuffle(rp)
+        rng.shuffle(cp)
+        g = permute_tableau(g, rp, cp)
+        assert (g.rows, g.cols) == (55, 21)
+        rep = oracle_recognize(g, max_cells=10**4)
+        assert rep.is_dav
+        assert labeling_generates(g, rep.one_labeling)
+
     def test_size_guard(self):
         big = generate_correspondence(2, 10, 10)
         with pytest.raises(SizeGuardError):
@@ -109,6 +137,21 @@ class TestOracleRecognize:
             assert oracle_recognize(g).is_dav
 
 
+# Every (p, alpha, beta) with p 2-5, at most 150 cells and a long side
+# less than three times the short one; (p, beta, alpha) is the other
+# orientation of each.  The shape limit is the oracle's: on narrower
+# shapes, such as (2, 1, 13) at 2 x 14 or (3, 1, 5) at 3 x 21, it can
+# take seconds on one input.
+SMALL_TRIPLES = [
+    (p, alpha, beta)
+    for p in range(2, 6)
+    for alpha in range(1, 15)
+    for beta in range(1, 15)
+    for k, l in [(comb(alpha + p - 1, p - 1), comb(beta + p - 1, p - 1))]
+    if k * l <= 150 and max(k, l) < 3 * min(k, l)
+]
+
+
 class TestOracleAgreesWithFastPaths:
     def test_two_candidate_route(self):
         rng = random.Random(17)
@@ -117,7 +160,7 @@ class TestOracleAgreesWithFastPaths:
                 tuple(rng.randrange(2) for _ in range(3)) for _ in range(4)
             )
             g = Form(candidates=2, cells=cells)  # alpha=3, beta=2
-            fast = recognize_form(g)
+            fast = recognize_tableau(g)
             assert fast.verdict in (ACCEPTED, REJECTED)
             assert (fast.verdict == ACCEPTED) == oracle_recognize(g).is_dav
 
@@ -129,8 +172,49 @@ class TestOracleAgreesWithFastPaths:
                 tuple(rng.choice(sets) for _ in range(3)) for _ in range(3)
             )
             h = Correspondence(candidates=2, cells=cells)  # alpha=beta=2
-            fast = recognize_correspondence(h)
+            fast = recognize_tableau(h)
             assert (fast.verdict == ACCEPTED) == oracle_recognize(h).is_dav
+
+    @given(
+        st.one_of(
+            st.sampled_from([t for t in SMALL_TRIPLES if t[0] == 2]),
+            st.sampled_from([t for t in SMALL_TRIPLES if t[0] > 2]),
+        ),
+        st.booleans(),
+        st.sampled_from(["valid", "changed", "copied"]),
+        st.integers(1, 3),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_every_regime_agrees(self, triple, is_corr, change, n_changed, rng):
+        # A generated correspondence or random-tie form, optionally with
+        # 1-3 changed cells or a copied row, then shuffled.
+        p, alpha, beta = triple
+        if is_corr:
+            t = generate_correspondence(p, alpha, beta)
+            choices = [frozenset(c) for r in range(1, p + 1) for c in combinations(range(p), r)]
+        else:
+            t = random_resolution(p, alpha, beta, rng)
+            choices = list(range(p))
+        cells = [list(row) for row in t.cells]
+        if change == "changed":
+            for _ in range(n_changed):
+                i, j = rng.randrange(t.rows), rng.randrange(t.cols)
+                cells[i][j] = rng.choice([c for c in choices if c != cells[i][j]])
+        elif change == "copied":
+            i, j = rng.sample(range(t.rows), 2)
+            cells[i] = list(cells[j])
+        rp, cp = list(range(t.rows)), list(range(t.cols))
+        rng.shuffle(rp)
+        rng.shuffle(cp)
+        t = permute_tableau(type(t)(candidates=p, cells=tuple(map(tuple, cells))), rp, cp)
+        res = recognize_tableau(t)
+        is_dav = oracle_recognize(t, max_cells=10**4).is_dav
+        assert res.verdict == (ACCEPTED if is_dav else REJECTED)
+        if change == "valid":
+            assert res.verdict == ACCEPTED
+        if res.verdict == ACCEPTED:
+            assert labeling_generates(t, res.labeling)
 
 
 class TestOracleCountForms:

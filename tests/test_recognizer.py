@@ -22,7 +22,6 @@ from davote import (
 )
 from davote.core import enumerate_strategies, infer_parameters, labeling_generates, winner_row
 from davote import matching, recognizer
-from davote.recognizer import recognize_correspondence, recognize_form
 from davote.oracle import oracle_recognize
 from conftest import (
     A,
@@ -131,7 +130,7 @@ class TestLuCounts:
 
 class TestRecognizeCorrespondence:
     def test_worked_example(self, corr_2_3_3):
-        res = recognize_correspondence(corr_2_3_3)
+        res = recognize_tableau(corr_2_3_3)
         assert res.verdict == ACCEPTED
         assert res.method == "two-candidate"
         assert res.labeling.row_labels == tuple(enumerate_strategies(2, 3))
@@ -144,7 +143,7 @@ class TestRecognizeCorrespondence:
         h = generate_correspondence(p, alpha, beta)
         for seed in range(5):
             g = shuffled(h, seed)
-            res = recognize_correspondence(g)
+            res = recognize_tableau(g)
             assert res.verdict == ACCEPTED
             assert labeling_generates(g, res.labeling)
 
@@ -152,7 +151,7 @@ class TestRecognizeCorrespondence:
         # 4 rows x 2 columns: recognition happens on the transpose, the
         # returned labeling still fits the original orientation.
         h = generate_correspondence(2, 3, 1)
-        res = recognize_correspondence(h)
+        res = recognize_tableau(h)
         assert res.verdict == ACCEPTED
         assert res.labeling.row_labels == tuple(enumerate_strategies(2, 3))
         assert labeling_generates(h, res.labeling)
@@ -163,7 +162,7 @@ class TestRecognizeCorrespondence:
         h = generate_correspondence(3, 4, 1)
         rows = [tuple(r) for r in h.cells]
         assert len(set(rows)) < len(rows)
-        res = recognize_correspondence(h)
+        res = recognize_tableau(h)
         assert res.verdict == ACCEPTED
         assert labeling_generates(h, res.labeling)
 
@@ -171,13 +170,13 @@ class TestRecognizeCorrespondence:
         cells = [list(row) for row in corr_2_3_3.cells]
         cells[0][0] = frozenset({B})
         bad = Correspondence(candidates=2, cells=tuple(map(tuple, cells)))
-        res = recognize_correspondence(bad)
+        res = recognize_tableau(bad)
         assert res.verdict == REJECTED
         assert res.witness
 
     def test_impossible_shape_rejected(self):
         h = corr(3, tuple((({A}, {B}),) * 5))
-        res = recognize_correspondence(h)
+        res = recognize_tableau(h)
         assert res.verdict == REJECTED
 
     def test_transposed_rejection_prefixes_witness(self):
@@ -186,7 +185,7 @@ class TestRecognizeCorrespondence:
         cells = [list(row) for row in generate_correspondence(3, 2, 1).cells]
         cells[0][0] = frozenset({2})
         bad = Correspondence(candidates=3, cells=tuple(map(tuple, cells)))
-        res = recognize_correspondence(bad)
+        res = recognize_tableau(bad)
         assert res.verdict == REJECTED
         assert res.witness.startswith("after transposing: ")
 
@@ -203,12 +202,12 @@ class TestCountColumnMatchings:
 
 class TestRecognizeFormDispatch:
     def test_wide_regime_uses_counting_bounds(self):
-        res = recognize_form(generate_form(3, 1, 2))
+        res = recognize_tableau(generate_form(3, 1, 2))
         assert res.verdict == ACCEPTED
         assert res.method == "lu-counting"
 
     def test_tall_regime_transposes(self):
-        res = recognize_form(generate_form(3, 2, 1))
+        res = recognize_tableau(generate_form(3, 2, 1))
         assert res.verdict == ACCEPTED
         assert res.method == "lu-counting"
         g = generate_form(3, 2, 1)
@@ -216,29 +215,29 @@ class TestRecognizeFormDispatch:
         assert res.labeling.row_labels == tuple(enumerate_strategies(3, 2))
 
     def test_single_cards_use_pattern_search(self):
-        res = recognize_form(generate_form(3, 1, 1))
+        res = recognize_tableau(generate_form(3, 1, 1))
         assert res.verdict == ACCEPTED
         assert res.method == "plurality"
 
     def test_two_cards_each_use_count_intervals(self):
-        res = recognize_form(generate_form(3, 2, 2))
+        res = recognize_tableau(generate_form(3, 2, 2))
         assert res.verdict == ACCEPTED
         assert res.method == "lu-counting"
 
     def test_two_candidates_odd_total(self):
-        res = recognize_form(generate_form(2, 1, 2))
+        res = recognize_tableau(generate_form(2, 1, 2))
         assert res.verdict == ACCEPTED
         assert res.method == "two-candidate"
         assert res.labeling.row_labels == tuple(enumerate_strategies(2, 1))
 
     def test_two_candidates_even_total(self):
-        res = recognize_form(generate_form(2, 2, 2))
+        res = recognize_tableau(generate_form(2, 2, 2))
         assert res.verdict == ACCEPTED
         assert res.method == "two-candidate"
 
     def test_leftover_regime_uses_row_search(self):
         g = generate_form(3, 2, 3)
-        res = recognize_form(g)
+        res = recognize_tableau(g)
         assert res.verdict == ACCEPTED
         assert res.method == "row-search"
         assert labeling_generates(g, res.labeling)
@@ -246,7 +245,7 @@ class TestRecognizeFormDispatch:
     def test_leftover_regime_above_guard_is_undecided(self, monkeypatch):
         # Ten rows cannot be labeled within a budget of one search node.
         monkeypatch.setattr(matching, "_ROW_NODES", 1)
-        res = recognize_form(generate_form(3, 3, 3))
+        res = recognize_tableau(generate_form(3, 3, 3))
         assert res.verdict == UNDECIDED
         assert res.method == "row-search"
         assert res.witness == "row search stopped at its budget of 1 nodes"
@@ -254,9 +253,9 @@ class TestRecognizeFormDispatch:
     def test_guard_can_be_raised(self, monkeypatch):
         g = generate_form(3, 3, 3)
         monkeypatch.setattr(matching, "_ROW_NODES", 1)
-        assert recognize_form(g).verdict == UNDECIDED
+        assert recognize_tableau(g).verdict == UNDECIDED
         monkeypatch.setattr(matching, "_ROW_NODES", 10)
-        res = recognize_form(g)
+        res = recognize_tableau(g)
         assert (res.verdict, res.method) == (ACCEPTED, "row-search")
         assert labeling_generates(g, res.labeling)
 
@@ -275,7 +274,7 @@ class TestRecognizeFormBehavior:
                 tuple(rng.choice(sorted(cell)) for cell in row) for row in h.cells
             )
             g = shuffled(Form(candidates=p, cells=cells), seed)
-            res = recognize_form(g)
+            res = recognize_tableau(g)
             assert res.verdict == ACCEPTED
             assert labeling_generates(g, res.labeling)
 
@@ -283,7 +282,7 @@ class TestRecognizeFormBehavior:
         # Row labels are forced; column labels are only a bijection (a
         # form may repeat columns, leaving several valid assignments).
         g = generate_form(3, 1, 3, "max-index")
-        res = recognize_form(g)
+        res = recognize_tableau(g)
         assert res.labeling.row_labels == tuple(enumerate_strategies(3, 1))
         assert sorted(res.labeling.col_labels) == sorted(enumerate_strategies(3, 3))
         assert labeling_generates(g, res.labeling)
@@ -295,13 +294,13 @@ class TestRecognizeFormBehavior:
         # Push cell (0, 0) to a candidate outside its winner set.
         outside = min(set(range(3)) - set(h.cells[0][0]))
         cells[0][0] = outside
-        res = recognize_form(Form(candidates=3, cells=tuple(map(tuple, cells))))
+        res = recognize_tableau(Form(candidates=3, cells=tuple(map(tuple, cells))))
         assert res.verdict == REJECTED
         assert res.witness
 
     def test_uninferable_shape_rejected(self):
         g = form(3, ((A, B, A, B, A, B, A),))
-        res = recognize_form(g)
+        res = recognize_tableau(g)
         assert res.verdict == REJECTED
         assert res.method == "row-search"
 
@@ -309,7 +308,7 @@ class TestRecognizeFormBehavior:
         # Shuffled (3, 2, 50) forms need augmenting paths deeper than
         # the interpreter's default recursion limit.
         g = shuffled(generate_form(3, 2, 50), 0)
-        res = recognize_form(g)
+        res = recognize_tableau(g)
         assert (res.verdict, res.method) == (ACCEPTED, "lu-counting")
         assert labeling_generates(g, res.labeling)
 
@@ -317,7 +316,7 @@ class TestRecognizeFormBehavior:
         # A shuffled (3, 1, 60) form, 3 x 1891, with every tie broken at
         # random, so its columns fall into content classes of mixed size.
         g = shuffled(random_resolution(3, 1, 60, random.Random(60)), 1)
-        res = recognize_form(g)
+        res = recognize_tableau(g)
         assert (res.verdict, res.method) == (ACCEPTED, "lu-counting")
         assert labeling_generates(g, res.labeling)
 
@@ -343,7 +342,7 @@ class TestNewlyCoveredRegimes:
         for g in instances:
             row_perm = rng.sample(range(g.rows), g.rows)
             col_perm = rng.sample(range(g.cols), g.cols)
-            res = recognize_form(permute_tableau(g, row_perm, col_perm))
+            res = recognize_tableau(permute_tableau(g, row_perm, col_perm))
             assert (res.verdict, res.method) == (ACCEPTED, "lu-counting")
             if transposed:
                 assert res.labeling.col_labels == tuple(xs[j] for j in col_perm)
@@ -359,7 +358,7 @@ class TestNewlyCoveredRegimes:
             for _ in range(1 + k % 2):
                 cells[rng.randrange(h.rows)][rng.randrange(h.cols)] = rng.randrange(p)
             g = shuffled(Form(p, tuple(map(tuple, cells))), k)
-            res = recognize_form(g)
+            res = recognize_tableau(g)
             assert res.method == "lu-counting"
             assert res.accepted == oracle_recognize(g, max_cells=10**6).is_dav
 
@@ -446,5 +445,3 @@ class TestRecognizeTableau:
         assert recognize_tableau(g).verdict == UNDECIDED
         with pytest.raises(TypeError):
             recognize_tableau(g, oracle_cells=200)
-        with pytest.raises(TypeError):
-            recognize_form(g, oracle_cells=200)

@@ -1,4 +1,4 @@
-"""Two-card forms through `recognize_form`, and n-voter two-candidate tableaux."""
+"""Two-card forms through `recognize_tableau`, and n-voter two-candidate tableaux."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from davote import (
     permute_tableau,
 )
 from davote.core import _count_bounds, enumerate_strategies, labeling_generates, winner_table
-from davote.recognizer import recognize_correspondence, recognize_form
+from davote.recognizer import recognize_tableau
 from davote.special import n_tableau_as_grid, plane_signature, recognize_n_tableau
 from conftest import A, B, count_intervals, random_resolution
 
@@ -85,25 +85,25 @@ class TestRecognizeFormTwoCards:
         rng = random.Random(p)
         for rule in ("min-index", "max-index"):
             g = shuffle_form(generate_form(p, 2, 2, rule), rng)
-            res = recognize_form(g)
+            res = recognize_tableau(g)
             assert res.verdict == ACCEPTED
             assert res.method == "lu-counting"
             assert labeling_generates(g, res.labeling)
         for _ in range(5):
             g = shuffle_form(random_resolution(p, 2, 2, rng), rng)
-            res = recognize_form(g)
+            res = recognize_tableau(g)
             assert res.verdict == ACCEPTED
             assert labeling_generates(g, res.labeling)
 
     def test_row_labels_exhaust_two_card_strategies(self):
-        res = recognize_form(generate_form(3, 2, 2))
+        res = recognize_tableau(generate_form(3, 2, 2))
         assert res.labeling.row_labels == tuple(enumerate_strategies(3, 2))
 
     def test_wrong_size_rejected(self):
         # Six rows are two-card rows over three candidates, but no
         # weight gives five columns.
         g = Form(candidates=3, cells=((A, B, A, B, A),) * 6)
-        res = recognize_form(g)
+        res = recognize_tableau(g)
         assert res.verdict == REJECTED
         assert "5 columns" in res.witness
 
@@ -112,14 +112,14 @@ class TestRecognizeFormTwoCards:
         h = generate_correspondence(3, 2, 2)
         cells = [list(r) for r in base.cells]
         cells[0][0] = min(set(range(3)) - set(h.cells[0][0]))
-        res = recognize_form(Form(candidates=3, cells=tuple(map(tuple, cells))))
+        res = recognize_tableau(Form(candidates=3, cells=tuple(map(tuple, cells))))
         assert res.verdict == REJECTED
 
     def test_two_candidates_unsupported(self):
         # Two-card forms over two candidates go to plane ranking, like
         # every other p = 2 form.
-        assert recognize_form(generate_form(2, 2, 2)).method == "two-candidate"
-        assert recognize_form(generate_form(2, 2, 3)).method == "two-candidate"
+        assert recognize_tableau(generate_form(2, 2, 2)).method == "two-candidate"
+        assert recognize_tableau(generate_form(2, 2, 3)).method == "two-candidate"
 
     def test_agrees_with_oracle_on_random_matrices(self):
         rng = random.Random(22)
@@ -128,7 +128,7 @@ class TestRecognizeFormTwoCards:
                 tuple(rng.randrange(3) for _ in range(6)) for _ in range(6)
             )
             g = Form(candidates=3, cells=cells)
-            assert (recognize_form(g).verdict == ACCEPTED) == oracle_recognize(
+            assert (recognize_tableau(g).verdict == ACCEPTED) == oracle_recognize(
                 g
             ).is_dav
 
@@ -351,16 +351,16 @@ class TestTwoVoterBridge:
     def test_verdicts_agree_with_two_voter_recognition(self, alpha, beta):
         nt = generate_n_tableau((alpha, beta))
         assert recognize_n_tableau(nt).verdict == ACCEPTED
-        assert recognize_correspondence(n_tableau_as_grid(nt)).verdict == ACCEPTED
+        assert recognize_tableau(n_tableau_as_grid(nt)).verdict == ACCEPTED
 
         cells = list(nt.cells)
         cells[0] = frozenset({A}) if cells[0] != frozenset({A}) else frozenset({B})
         bad = NTableau(weights=(alpha, beta), kind="correspondence", cells=tuple(cells))
         assert recognize_n_tableau(bad).verdict == REJECTED
-        assert recognize_correspondence(n_tableau_as_grid(bad)).verdict == REJECTED
+        assert recognize_tableau(n_tableau_as_grid(bad)).verdict == REJECTED
 
     @pytest.mark.parametrize("alpha,beta", [(1, 2), (2, 2), (3, 3)])
     def test_form_verdicts_agree(self, alpha, beta):
         nt = generate_n_tableau((alpha, beta), kind="form", tie_rule="max-index")
         assert recognize_n_tableau(nt).verdict == ACCEPTED
-        assert recognize_form(n_tableau_as_grid(nt)).verdict == ACCEPTED
+        assert recognize_tableau(n_tableau_as_grid(nt)).verdict == ACCEPTED
