@@ -82,7 +82,7 @@ class NoParametersError(ParameterError):
 
 
 class CellTypeError(ParameterError, TypeError):
-    """Raised for a grid, cell or candidate count of the wrong type; also a `TypeError`."""
+    """Raised for a grid, cell, count or weight of the wrong type; also a `TypeError`."""
 
 
 class SizeGuardError(RuntimeError):
@@ -90,9 +90,13 @@ class SizeGuardError(RuntimeError):
 
 
 def _check_params(p: int, *weights: int) -> None:
+    if type(p) is not int:
+        raise CellTypeError(f"candidate count {p!r} is not an int")
     if p < 2:
         raise ParameterError(f"need at least 2 candidates, got p={p}")
     for w in weights:
+        if type(w) is not int:
+            raise CellTypeError(f"voter weight {w!r} is not an int")
         if w < 1:
             raise ParameterError(f"voter weight must be >= 1, got {w}")
 
@@ -275,8 +279,6 @@ class Form:
 
 
 def _validate_grid(cells, p: int, kind: str) -> None:
-    if type(p) is not int:
-        raise CellTypeError(f"candidate count {p!r} is not an int")
     _check_params(p)
     if not isinstance(cells, (tuple, list)) or not all(
         isinstance(row, (tuple, list)) for row in cells

@@ -208,7 +208,10 @@ def accept_counted_rows(g: Form, method: str, table: WinnerTable) -> Recognition
             )
         fits.append(fit)
     order = sorted(zip(fits, classes.values()), key=lambda c: c[0].bit_count())
-    slots = [(fit, c, i) for c, (fit, members) in enumerate(order) for i in members]
+    # A slot: its class's fit, the class, the row and how many identical
+    # rows follow it in the class.
+    slots = [(fit, c, i, len(members) - 1 - q)
+             for c, (fit, members) in enumerate(order) for q, i in enumerate(members)]
     row_slot = sorted(range(len(slots)), key=lambda k: slots[k][2])
 
     def accept(bits: list[int]) -> RecognitionResult:
@@ -216,10 +219,10 @@ def accept_counted_rows(g: Form, method: str, table: WinnerTable) -> Recognition
         return accept_row_labels(g, method, table, assignment)
 
     if all(fit & (fit - 1) == 0 for fit in fits):
-        return accept([fit for fit, _, _ in slots])
+        return accept([s[0] for s in slots])
     n = len(slots)
     # rest[k]: every strategy that some row of slot k or later fits.
-    rest = list(accumulate((fit for fit, _, _ in reversed(slots)), or_))[::-1] + [0]
+    rest = list(accumulate((s[0] for s in reversed(slots)), or_))[::-1] + [0]
     labels: list[int] = []  # the strategy bit of each filled slot
     stack = [slots[0][0]]  # the untried strategy bits of each open slot
     used = nodes = 0
@@ -239,9 +242,12 @@ def accept_counted_rows(g: Form, method: str, table: WinnerTable) -> Recognition
                 if res.verdict == ACCEPTED:
                     return res
             elif (rest[k] & ~used).bit_count() >= n - k:
-                fit, c, _ = slots[k]
-                # Identical rows take increasing strategies.
-                stack.append(fit & ~used & (-(bit << 1) if c == slots[k - 1][1] else -1))
+                fit, c, _, after = slots[k]
+                # Identical rows take increasing strategies, so a slot needs
+                # more options than identical rows follow it.
+                opts = fit & ~used & (-(bit << 1) if c == slots[k - 1][1] else -1)
+                if opts.bit_count() > after:
+                    stack.append(opts)
     if stack:
         witness = f"row search stopped at its budget of {_ROW_NODES} nodes"
         return RecognitionResult(UNDECIDED, method, witness=witness)

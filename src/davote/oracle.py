@@ -1,9 +1,9 @@
 """Exhaustive search deciding small tableaux exactly.
 
-The oracle tries every row-label assignment whose per-row statistics
-are feasible (signature equality for correspondences, per-candidate
-winner-count bounds for forms), propagating column constraints after
-each placement, and then enumerates the compatible column labelings.
+The oracle tries every row-label assignment whose per-row winner counts
+are feasible, narrowing each column's strategy domain after each
+placement, and then enumerates the compatible column labelings.  Both
+walks keep explicit stacks, so no call depth grows with the input.
 It is deliberately independent of the polynomial recognizers so the two
 routes can cross-check each other.
 """
@@ -86,99 +86,85 @@ def oracle_recognize(
         [argmax_set(tuple(a + b for a, b in zip(x, y))) for y in ys] for x in xs
     ]
 
-    # Row feasibility uses only necessary per-row statistics, so pruning
-    # never loses a labeling.
-    feasible: list[list[int]] = []
-    if is_corr:
-        sigs = {}
-        for xi in range(len(xs)):
-            sig = tuple(sum(a in s for s in am[xi]) for a in range(p))
-            sigs.setdefault(sig, []).append(xi)
-        for i in range(k):
-            feasible.append(list(sigs.get(row_signature(t, i), [])))
-    else:
-        bounds = []
-        for xi in range(len(xs)):
-            per_candidate = []
-            for a in range(p):
-                lo = sum(1 for s in am[xi] if s == {a})
-                hi = sum(1 for s in am[xi] if a in s)
-                per_candidate.append((lo, hi))
-            bounds.append(per_candidate)
-        for i in range(k):
-            counts = [0] * p
-            for v in t.cells[i]:
-                counts[v] += 1
-            feasible.append(
-                [
-                    xi
-                    for xi in range(len(xs))
-                    if all(
-                        lo <= counts[a] <= hi
-                        for a, (lo, hi) in enumerate(bounds[xi])
-                    )
-                ]
-            )
+    # One necessary per-row rule, so pruning never loses a labeling: for
+    # each candidate a, strategy x's row has `lo` cells a wins alone and
+    # `hi` cells a is among the winners.  A correspondence row's
+    # signature must equal every `hi`, a form row's counts lie in
+    # [lo, hi].
+    bounds = [[(sum(s == {a} for s in row), sum(a in s for s in row)) for a in range(p)]
+              for row in am]
+    feasible = []
+    for i in range(k):
+        sig = row_signature(t, i)
+        feasible.append([
+            xi for xi, b in enumerate(bounds)
+            if all(c == hi if is_corr else lo <= c <= hi for c, (lo, hi) in zip(sig, b))
+        ])
 
+    # Depth-first over rows, fewest options first, then over columns.
+    # Each walk keeps one iterator per depth in a list indexed by depth,
+    # so no call nests per placed line.  A leaf or a reached cap ends a
+    # branch, but the siblings still tried after the cap count as nodes.
     row_order = sorted(range(k), key=lambda i: (len(feasible[i]), i))
-    report = OracleReport(False, 0, None, 0)
-    assigned: dict[int, int] = {}
+    found = nodes = 0
+    first = None
     used_x = [False] * len(xs)
-
-    def fits(xi: int, yi: int, i: int, j: int) -> bool:
-        if is_corr:
-            return am[xi][yi] == t.cells[i][j]
-        return t.cells[i][j] in am[xi][yi]
-
-    def assign_columns(domains: list[list[int]]) -> None:
-        col_order = sorted(range(n_cols), key=lambda j: (len(domains[j]), j))
-        used_y = [False] * len(ys)
-        chosen: dict[int, int] = {}
-
-        def walk(pos: int) -> None:
-            if report.labelings_found >= cap:
-                return
-            if pos == n_cols:
-                report.labelings_found += 1
-                if report.one_labeling is None:
-                    report.one_labeling = Labeling(
-                        row_labels=tuple(xs[assigned[i]] for i in range(k)),
-                        col_labels=tuple(ys[chosen[j]] for j in range(n_cols)),
-                    )
-                return
-            j = col_order[pos]
-            for yi in domains[j]:
-                if not used_y[yi]:
-                    used_y[yi] = True
-                    chosen[j] = yi
-                    report.nodes_explored += 1
-                    walk(pos + 1)
-                    used_y[yi] = False
-
-        walk(0)
-
-    def assign_rows(pos: int, domains: list[list[int]]) -> None:
-        if report.labelings_found >= cap:
-            return
-        if pos == k:
-            assign_columns(domains)
-            return
-        i = row_order[pos]
-        for xi in feasible[i]:
+    used_y = [False] * len(ys)
+    x_path, y_path = [0] * k, [0] * n_cols  # the strategy placed at each depth
+    row_its = [iter(feasible[row_order[0]])] * k
+    row_doms = [[range(len(ys))] * n_cols] * k  # column domains before each depth
+    d = 0
+    while d >= 0:
+        for xi in row_its[d]:
             if used_x[xi]:
                 continue
-            narrowed = [
-                [yi for yi in domains[j] if fits(xi, yi, i, j)]
-                for j in range(n_cols)
-            ]
-            report.nodes_explored += 1
-            if any(not d for d in narrowed):
-                continue
+            line, doms = am[xi], zip(row_doms[d], t.cells[row_order[d]])
+            if is_corr:
+                narrowed = [[yi for yi in dom if line[yi] == c] for dom, c in doms]
+            else:
+                narrowed = [[yi for yi in dom if c in line[yi]] for dom, c in doms]
+            nodes += 1
+            if all(narrowed):
+                break
+        else:
+            # Back up; at depth 0 this clears a flag that is already clear.
+            d -= 1
+            used_x[x_path[d]] = False
+            continue
+        x_path[d] = xi
+        if found >= cap:
+            continue
+        if d < k - 1:
             used_x[xi] = True
-            assigned[i] = xi
-            assign_rows(pos + 1, narrowed)
-            used_x[xi] = False
-
-    assign_rows(0, [list(range(len(ys))) for _ in range(n_cols)])
-    report.is_dav = report.labelings_found > 0
-    return report
+            d += 1
+            row_its[d] = iter(feasible[row_order[d]])
+            row_doms[d] = narrowed
+            continue
+        col_order = sorted(range(n_cols), key=lambda j: (len(narrowed[j]), j))
+        col_doms = [narrowed[j] for j in col_order]
+        col_its = [iter(col_doms[0])] * n_cols
+        e = 0
+        while e >= 0:
+            for yi in col_its[e]:
+                if not used_y[yi]:
+                    break
+            else:
+                e -= 1
+                used_y[y_path[e]] = False
+                continue
+            nodes += 1
+            if found >= cap:
+                continue
+            y_path[e] = yi
+            if e < n_cols - 1:
+                used_y[yi] = True
+                e += 1
+                col_its[e] = iter(col_doms[e])
+            else:
+                found += 1
+                if first is None:
+                    first = Labeling(
+                        row_labels=tuple(xs[x] for _, x in sorted(zip(row_order, x_path))),
+                        col_labels=tuple(ys[y] for _, y in sorted(zip(col_order, y_path))),
+                    )
+    return OracleReport(found > 0, found, first, nodes)

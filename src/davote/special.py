@@ -20,6 +20,7 @@ from .core import (
     PlaneLabeling,
     TIE_RULES,
     _check_cells,
+    _check_params,
     _validate_grid,
 )
 from .results import ACCEPTED, REJECTED, RecognitionResult
@@ -103,7 +104,8 @@ def generate_n_tableau(
     """
     if tie_rule not in TIE_RULES:
         raise ParameterError(f"unknown tie rule {tie_rule!r}, expected one of {TIE_RULES}")
-    weights = tuple(int(w) for w in weights)
+    weights = tuple(weights)
+    _check_params(2, *weights)
     _check_cells(prod(w + 1 for w in weights), f"the tableau for weights {weights}")
     sigma = sum(weights)
     pick = min if tie_rule == "min-index" else max

@@ -89,14 +89,10 @@ def _to_text(t, names: list[str]) -> str:
     bad = [n for n in names if any(ch in n for ch in " \t{},")]
     if bad:
         raise ParameterError(f"name {bad[0]!r} cannot appear in the text format")
-    lines = []
-    for row in t.cells:
-        if isinstance(t, Correspondence):
-            toks = ["{" + ",".join(names[c] for c in sorted(cell)) + "}" for cell in row]
-        else:
-            toks = [names[c] for c in row]
-        lines.append(" ".join(toks))
-    return "\n".join(lines) + "\n"
+    rows = _to_dict(t, names)["cells"]
+    if isinstance(t, Correspondence):
+        rows = [["{" + ",".join(cell) + "}" for cell in row] for row in rows]
+    return "".join(" ".join(row) + "\n" for row in rows)
 
 
 def _format_json(obj: dict) -> str:
@@ -197,40 +193,20 @@ def _n_tableau_from_json(data: dict):
 
 
 def _from_text(text: str):
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            rows.append(line.split())
+    rows = [s.split() for s in text.splitlines() if s.strip()[:1] not in ("", "#")]
     if not rows:
         raise ParameterError("no rows found in text input")
-    is_corr = any("{" in tok for row in rows for tok in row)
-    names: list[str] = []
-    index: dict[str, int] = {}
-
-    def one(name: str) -> int:
-        if not name:
-            raise ParameterError("empty candidate name in text input")
-        if name not in index:
-            index[name] = len(names)
-            names.append(name)
-        return index[name]
-
-    if is_corr:
-        cells = tuple(
-            tuple(
-                frozenset(one(n) for n in tok.strip("{}").split(","))
-                for tok in row
-            )
-            for row in rows
-        )
+    if any("{" in tok for row in rows for tok in row):
+        kind = "correspondence"
+        rows = [[tok.strip("{}").split(",") for tok in row] for row in rows]
+        seen = (n for row in rows for cell in row for n in cell)
     else:
-        cells = tuple(tuple(one(tok) for tok in row) for row in rows)
-    # p is taken to be the number of distinct names observed; a candidate
-    # that never wins a cell is unknowable from a text matrix.
-    if is_corr:
-        return Correspondence(candidates=len(names), cells=cells), names
-    return Form(candidates=len(names), cells=cells), names
+        kind, seen = "form", (n for row in rows for n in row)
+    # p is the number of distinct names: a candidate winning no cell is unknowable.
+    names = list(dict.fromkeys(seen))
+    if "" in names:
+        raise ParameterError("empty candidate name in text input")
+    return _from_json({"kind": kind, "candidates": names, "cells": rows})
 
 
 def loads_tableau(text: str):

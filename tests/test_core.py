@@ -19,6 +19,7 @@ from davote import (
     ParameterError,
     generate_correspondence,
     generate_form,
+    generate_n_tableau,
     permute_tableau,
 )
 from davote.core import (
@@ -532,6 +533,23 @@ class TestValidation:
     def test_malformed_form_is_a_parameter_error(self, candidates, cells, message):
         with pytest.raises(CellTypeError, match=f"^{message}$"):
             Form(candidates=candidates, cells=cells)
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: generate_form(3.0, 2, 2), "candidate count 3.0 is not an int"),
+            (lambda: generate_form(3, 2, 2.0), "voter weight 2.0 is not an int"),
+            (lambda: generate_correspondence(3, True, 2), "voter weight True is not an int"),
+            (lambda: generate_n_tableau((2.5, 3)), "voter weight 2.5 is not an int"),
+            (lambda: generate_n_tableau(("2", 3)), "voter weight '2' is not an int"),
+            (lambda: generate_n_tableau((True, 2)), "voter weight True is not an int"),
+        ],
+        ids=["float-p", "float-beta", "bool-alpha", "float-n-weight", "str-n-weight", "bool-n-weight"],
+    )
+    def test_non_int_generator_parameter_is_a_cell_type_error(self, make, message):
+        # Each was once built from a coerced value or failed with a bare TypeError.
+        with pytest.raises(CellTypeError, match=f"^{message}$"):
+            make()
 
 
 class TestDefaultNames:

@@ -332,6 +332,20 @@ class TestAcceptCountedRows:
             assert res.verdict == REJECTED
             assert isinstance(res.witness, ForbiddenWitness)
 
+    def test_identical_rows_stop_where_too_few_strategies_are_left(self):
+        # 19 identical permutation rows fit every single-card strategy
+        # and the last row, nineteen 0s and a 5, fits only (1, 0, ..., 0).
+        # Identical rows take increasing strategies, so a prefix is cut
+        # once fewer strategies remain than identical rows follow; without
+        # that cut the search spent its 10,000-node budget undecided.
+        g = Form(candidates=20, cells=(tuple(range(20)),) * 19 + ((0,) * 19 + (5,),))
+        res = accept_counted_rows(g, "row-search", winner_table(20, 1, 1))
+        assert res.verdict == REJECTED
+        assert res.witness == (
+            "no row labeling the bounds allow regenerates the input "
+            "(191 search nodes)"
+        )
+
     def test_row_fitting_no_strategy_is_the_witness(self):
         cells = [list(row) for row in generate_form(3, 1, 2).cells]
         cells[1] = [A] * len(cells[1])

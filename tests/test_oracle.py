@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import random
+import sys
 from itertools import combinations
 from math import comb
 
@@ -113,6 +114,25 @@ class TestOracleRecognize:
         assert (g.rows, g.cols) == (55, 21)
         rep = oracle_recognize(g, max_cells=10**4)
         assert rep.is_dav
+        assert labeling_generates(g, rep.one_labeling)
+        assert (rep.labelings_found, rep.nodes_explored) == (10, 541069)
+
+    def test_search_depth_does_not_grow_with_the_input(self):
+        # A shuffled (5, 5, 5) form places 126 rows and 126 columns;
+        # one call frame per placed line would pass a limit of 200.
+        g = generate_form(5, 5, 5)
+        rng = random.Random(3)
+        rows = rng.sample(g.cells, g.rows)
+        cols = rng.sample(range(g.cols), g.cols)
+        g = Form(candidates=5, cells=tuple(tuple(row[j] for j in cols) for row in rows))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            rep = oracle_recognize(g, max_cells=10**7)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert rep.is_dav
+        assert (rep.labelings_found, rep.nodes_explored) == (1, 252)
         assert labeling_generates(g, rep.one_labeling)
 
     def test_size_guard(self):
