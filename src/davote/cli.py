@@ -5,34 +5,17 @@ rejected/false, 2 for undecided (a row search over its node budget, an
 input over a size guard, or a closed-vs-direct discrepancy), 3 for
 usage and I/O errors, 4 for an internal error (a bug: one ``error:
 internal error: ...`` line on stderr instead of a traceback).
+
+Each command handler imports the modules it runs, so a command loads
+only those.  For the same reason ``--max-evals``, ``--count-cap`` and
+``--max-cells`` parse to None when absent, and the handler puts in the
+default its module defines.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
 import sys
-
-from .core import (
-    Form,
-    SizeGuardError,
-    generate_correspondence,
-    generate_form,
-    permute_tableau,
-)
-from .distinctness import (
-    DEFAULT_MAX_EVALS,
-    all_forms_rows_distinct,
-    correspondence_rows_distinct,
-    empty_differentiating_pairs,
-    identical_correspondence_rows,
-)
-from .oracle import DEFAULT_LABELING_CAP, DEFAULT_MAX_CELLS, oracle_recognize
-from .plurality import recognize_plurality_form
-from .recognizer import recognize_tableau
-from .results import ACCEPTED, REJECTED, UNDECIDED
-from .special import NTableau, generate_n_tableau, n_tableau_as_grid, permute_axes
-from .tableau_io import _format_json, dumps_result, dumps_tableau, load_tableau
 
 __all__ = ["main"]
 
@@ -44,7 +27,6 @@ EXIT_INTERNAL = 4
 
 _TIE = {"min": "min-index", "max": "max-index"}
 _KIND = {"corr": "correspondence", "form": "form"}
-_VERDICT_EXIT = {ACCEPTED: EXIT_OK, REJECTED: EXIT_NO, UNDECIDED: EXIT_UNDECIDED}
 
 
 class _UsageError(Exception):
@@ -68,7 +50,18 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_result(res, names: list[str], path: str | None) -> int:
+    from .results import ACCEPTED, REJECTED, UNDECIDED
+    from .tableau_io import dumps_result
+
+    _emit(dumps_result(res, names), path)
+    return {ACCEPTED: EXIT_OK, REJECTED: EXIT_NO, UNDECIDED: EXIT_UNDECIDED}[res.verdict]
+
+
 def _cmd_generate(args) -> int:
+    from .core import generate_correspondence, generate_form
+    from .tableau_io import dumps_tableau
+
     if args.kind == "corr":
         t = generate_correspondence(args.p, args.alpha, args.beta)
     else:
@@ -88,6 +81,9 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 
 
 def _cmd_generate_n(args) -> int:
+    from .special import generate_n_tableau
+    from .tableau_io import dumps_tableau
+
     t = generate_n_tableau(
         _parse_weights(args.weights), kind=_KIND[args.kind], tie_rule=_TIE[args.tie]
     )
@@ -96,13 +92,25 @@ def _cmd_generate_n(args) -> int:
 
 
 def _cmd_recognize(args) -> int:
+    from .recognizer import recognize_tableau
+    from .tableau_io import load_tableau
+
     t, names = load_tableau(args.file)
-    res = recognize_tableau(t)
-    _emit(dumps_result(res, names), args.output)
-    return _VERDICT_EXIT[res.verdict]
+    return _emit_result(recognize_tableau(t), names, args.output)
 
 
 def _cmd_check_distinct(args) -> int:
+    from .core import SizeGuardError
+    from .distinctness import (
+        DEFAULT_MAX_EVALS,
+        all_forms_rows_distinct,
+        correspondence_rows_distinct,
+        empty_differentiating_pairs,
+        identical_correspondence_rows,
+    )
+    from .tableau_io import _format_json
+
+    max_evals = DEFAULT_MAX_EVALS if args.max_evals is None else args.max_evals
     p, alpha, beta = args.p, args.alpha, args.beta
     report: dict = {
         "what": args.what,
@@ -121,13 +129,9 @@ def _cmd_check_distinct(args) -> int:
     if args.mode in ("direct", "both"):
         try:
             if args.what == "corr":
-                pairs = identical_correspondence_rows(
-                    p, alpha, beta, max_evals=args.max_evals
-                )
+                pairs = identical_correspondence_rows(p, alpha, beta, max_evals=max_evals)
             else:
-                pairs = empty_differentiating_pairs(
-                    p, alpha, beta, max_evals=args.max_evals
-                )
+                pairs = empty_differentiating_pairs(p, alpha, beta, max_evals=max_evals)
             report["direct"] = not pairs
             report["witness_pairs"] = [[list(x), list(xp)] for x, xp in pairs]
         except SizeGuardError as e:
@@ -145,29 +149,38 @@ def _cmd_check_distinct(args) -> int:
 
 
 def _cmd_plurality_check(args) -> int:
+    from .core import Form
+    from .plurality import recognize_plurality_form
+    from .tableau_io import load_tableau
+
     t, names = load_tableau(args.file)
     if not isinstance(t, Form):
         raise _UsageError("plurality-check expects a form file")
-    res = recognize_plurality_form(t)
-    _emit(dumps_result(res, names), args.output)
-    return _VERDICT_EXIT[res.verdict]
+    return _emit_result(recognize_plurality_form(t), names, args.output)
 
 
 def _cmd_oracle(args) -> int:
+    from .core import SizeGuardError
+    from .oracle import DEFAULT_LABELING_CAP, DEFAULT_MAX_CELLS, oracle_recognize
+    from .special import NTableau, n_tableau_as_grid
+    from .tableau_io import _format_json, load_tableau
+
+    cap = DEFAULT_LABELING_CAP if args.count_cap is None else args.count_cap
+    max_cells = DEFAULT_MAX_CELLS if args.max_cells is None else args.max_cells
     t, names = load_tableau(args.file)
     if isinstance(t, NTableau):
         if len(t.weights) != 2:
             raise _UsageError("the oracle handles 2-voter tableaux only")
         t = n_tableau_as_grid(t)
     try:
-        report = oracle_recognize(t, cap=args.count_cap, max_cells=args.max_cells)
+        report = oracle_recognize(t, cap=cap, max_cells=max_cells)
     except SizeGuardError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNDECIDED
     out = {
         "is_dav": report.is_dav,
         "labelings_found": report.labelings_found,
-        "labeling_cap": args.count_cap,
+        "labeling_cap": cap,
         "nodes_explored": report.nodes_explored,
         "candidates": names,
     }
@@ -179,6 +192,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_shuffle(args) -> int:
+    import random
+
+    from .core import permute_tableau
+    from .special import NTableau, permute_axes
+    from .tableau_io import dumps_tableau, load_tableau
+
     t, names = load_tableau(args.file)
     rng = random.Random(args.seed)
     if isinstance(t, NTableau):
@@ -240,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--what", choices=("corr", "forms"), default="forms",
                    help="the correspondence's rows, or the rows of every form")
     s.add_argument("--mode", choices=("closed", "direct", "both"), default="both")
-    s.add_argument("--max-evals", type=int, default=DEFAULT_MAX_EVALS,
+    s.add_argument("--max-evals", type=int,
                    help="evaluation budget for direct mode")
     _add_output(s)
     s.set_defaults(func=_cmd_check_distinct)
@@ -253,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("oracle", help="exhaustive ground-truth recognition")
     s.add_argument("file")
-    s.add_argument("--count-cap", type=int, default=DEFAULT_LABELING_CAP,
+    s.add_argument("--count-cap", type=int,
                    help="stop counting labelings at this many")
-    s.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS,
+    s.add_argument("--max-cells", type=int,
                    help="refuse inputs larger than this many cells")
     _add_output(s)
     s.set_defaults(func=_cmd_oracle)

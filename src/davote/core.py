@@ -21,7 +21,6 @@ import math
 import string
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import add
@@ -173,8 +172,58 @@ def _candidate_masks(row: tuple[CandidateSet, ...], p: int) -> tuple[int, ...]:
     return tuple(int("".join(["1" if v in am else "0" for am in rev]), 2) for v in range(p))
 
 
-@dataclass(frozen=True)
-class WinnerTable:
+class _Record:
+    """Equality and repr over the fields named in `_fields`, in that order.
+
+    A record equals only a record of the same class with equal fields.
+    It is unhashable, since its fields may be reassigned; its repr reads
+    ``Name(field=value, ...)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A `_Record` that hashes its fields and refuses every later assignment.
+
+    `__init__` stores the fields into ``self.__dict__``; setting or
+    deleting any attribute afterwards raises
+    `dataclasses.FrozenInstanceError`.  A `cached_property` still works,
+    since it writes the instance dict directly.
+    """
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        _refuse(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        _refuse(f"cannot delete field {name!r}")
+
+
+def _refuse(message: str):
+    # Imported here: `dataclasses` pulls in `inspect`, too slow for start-up.
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(message)
+
+
+class WinnerTable(_FrozenRecord):
     """Row strategies, column strategies and the winner set of every pair.
 
     `rows[i][j]` is the winner set of ``xs[i] + ys[j]``, the cell (i, j)
@@ -188,10 +237,16 @@ class WinnerTable:
     with the table, so a route pays only for the parts it reads.
     """
 
-    p: int
-    xs: tuple[Strategy, ...]
-    ys: tuple[Strategy, ...]
-    rows: tuple[tuple[CandidateSet, ...], ...]
+    _fields = ("p", "xs", "ys", "rows")
+
+    def __init__(
+        self,
+        p: int,
+        xs: tuple[Strategy, ...],
+        ys: tuple[Strategy, ...],
+        rows: tuple[tuple[CandidateSet, ...], ...],
+    ) -> None:
+        self.__dict__.update(p=p, xs=xs, ys=ys, rows=rows)
 
     @classmethod
     def build(cls, p: int, alpha: int, beta: int) -> WinnerTable:
@@ -235,8 +290,7 @@ def winner_table(p: int, alpha: int, beta: int) -> WinnerTable:
     return WinnerTable.build(p, alpha, beta)
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(_FrozenRecord):
     """Outcome matrix whose cells are full argmax sets.
 
     `cells[i][j]` is the winner set when the row voter plays the i-th
@@ -244,11 +298,11 @@ class Correspondence:
     number of candidates p; cell members must lie in ``0..p-1``.
     """
 
-    candidates: int
-    cells: tuple[tuple[CandidateSet, ...], ...]
+    _fields = ("candidates", "cells")
 
-    def __post_init__(self) -> None:
-        _validate_grid(self.cells, self.candidates, kind="correspondence")
+    def __init__(self, candidates: int, cells: tuple[tuple[CandidateSet, ...], ...]) -> None:
+        _validate_grid(cells, candidates, kind="correspondence")
+        self.__dict__.update(candidates=candidates, cells=cells)
 
     @property
     def rows(self) -> int:
@@ -259,15 +313,14 @@ class Correspondence:
         return len(self.cells[0])
 
 
-@dataclass(frozen=True)
-class Form:
+class Form(_FrozenRecord):
     """Outcome matrix whose cells are single winners (resolved ties)."""
 
-    candidates: int
-    cells: tuple[tuple[Candidate, ...], ...]
+    _fields = ("candidates", "cells")
 
-    def __post_init__(self) -> None:
-        _validate_grid(self.cells, self.candidates, kind="form")
+    def __init__(self, candidates: int, cells: tuple[tuple[Candidate, ...], ...]) -> None:
+        _validate_grid(cells, candidates, kind="form")
+        self.__dict__.update(candidates=candidates, cells=cells)
 
     @property
     def rows(self) -> int:
@@ -332,16 +385,14 @@ def _check_candidate(c, p: int) -> None:
         raise ParameterError(f"candidate {c} out of range 0..{p - 1}")
 
 
-def _valid_tableau(cls, p: int, cells):
-    """A `cls` tableau over cells known to be valid, built without checking them again."""
+def _valid_tableau(cls, **fields):
+    """A `cls` tableau of `fields` known to be valid, built without checking them again."""
     t = object.__new__(cls)
-    object.__setattr__(t, "candidates", p)
-    object.__setattr__(t, "cells", cells)
+    t.__dict__.update(fields)
     return t
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(_FrozenRecord):
     """Row and column strategies recovered by a recognizer.
 
     `row_labels[i]` is the strategy assigned to row i, `col_labels[j]`
@@ -349,19 +400,25 @@ class Labeling:
     respective strategy sets.
     """
 
-    row_labels: tuple[Strategy, ...]
-    col_labels: tuple[Strategy, ...]
+    _fields = ("row_labels", "col_labels")
+
+    def __init__(
+        self, row_labels: tuple[Strategy, ...], col_labels: tuple[Strategy, ...]
+    ) -> None:
+        self.__dict__.update(row_labels=row_labels, col_labels=col_labels)
 
 
-@dataclass(frozen=True)
-class PlaneLabeling:
+class PlaneLabeling(_FrozenRecord):
     """Per-axis strategy values recovered for an n-voter tableau.
 
     `axis_labels[i][t]` is the card count on the first candidate that
     voter i plays in the plane currently at index t along axis i.
     """
 
-    axis_labels: tuple[tuple[int, ...], ...]
+    _fields = ("axis_labels",)
+
+    def __init__(self, axis_labels: tuple[tuple[int, ...], ...]) -> None:
+        self.__dict__.update(axis_labels=axis_labels)
 
 
 def generate_correspondence(p: int, alpha: int, beta: int) -> Correspondence:
@@ -375,7 +432,9 @@ def generate_correspondence(p: int, alpha: int, beta: int) -> Correspondence:
         strategy_count(p, alpha) * strategy_count(p, beta),
         f"the (p={p}, alpha={alpha}, beta={beta}) tableau",
     )
-    return _valid_tableau(Correspondence, p, WinnerTable.build(p, alpha, beta).rows)
+    return _valid_tableau(
+        Correspondence, candidates=p, cells=WinnerTable.build(p, alpha, beta).rows
+    )
 
 
 def generate_form(p: int, alpha: int, beta: int, tie_rule: str = "min-index") -> Form:
@@ -389,7 +448,7 @@ def generate_form(p: int, alpha: int, beta: int, tie_rule: str = "min-index") ->
     corr = generate_correspondence(p, alpha, beta)
     pick = min if tie_rule == "min-index" else max
     cells = tuple(tuple(pick(cell) for cell in row) for row in corr.cells)
-    return _valid_tableau(Form, p, cells)
+    return _valid_tableau(Form, candidates=p, cells=cells)
 
 
 def row_signature(h: Correspondence | Form, i: int) -> Signature:
@@ -470,12 +529,12 @@ def permute_tableau(t, row_perm, col_perm):
     cells = tuple(
         tuple(t.cells[ri][cj] for cj in col_perm) for ri in row_perm
     )
-    return _valid_tableau(type(t), t.candidates, cells)
+    return _valid_tableau(type(t), candidates=t.candidates, cells=cells)
 
 
 def transpose_tableau(t):
     """The same tableau with the two voters' roles swapped."""
-    return _valid_tableau(type(t), t.candidates, tuple(zip(*t.cells)))
+    return _valid_tableau(type(t), candidates=t.candidates, cells=tuple(zip(*t.cells)))
 
 
 def default_names(p: int) -> list[str]:

@@ -10,8 +10,6 @@ routes can cross-check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Correspondence,
     Form,
@@ -19,6 +17,7 @@ from .core import (
     NoParametersError,
     ParameterError,
     SizeGuardError,
+    _Record,
     argmax_set,
     enumerate_strategies,
     infer_parameters,
@@ -32,8 +31,7 @@ DEFAULT_LABELING_CAP = 10
 DEFAULT_MAX_CELLS = 64
 
 
-@dataclass
-class OracleReport:
+class OracleReport(_Record):
     """What the exhaustive search found.
 
     `labelings_found` is capped, so it means "at least this many" when
@@ -41,10 +39,19 @@ class OracleReport:
     order, None when the input is not distributed approval.
     """
 
-    is_dav: bool
-    labelings_found: int
-    one_labeling: Labeling | None
-    nodes_explored: int
+    _fields = ("is_dav", "labelings_found", "one_labeling", "nodes_explored")
+
+    def __init__(
+        self,
+        is_dav: bool,
+        labelings_found: int,
+        one_labeling: Labeling | None,
+        nodes_explored: int,
+    ) -> None:
+        self.is_dav = is_dav
+        self.labelings_found = labelings_found
+        self.one_labeling = one_labeling
+        self.nodes_explored = nodes_explored
 
 
 def oracle_recognize(

@@ -25,10 +25,9 @@ winner table.  Every rejection is explained by a forbidden pattern.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Candidate, Form, winner_table
+from .core import Candidate, Form, _FrozenRecord, winner_table
 from .matching import accept_row_labels
 from .results import ACCEPTED, REJECTED, RecognitionResult
 
@@ -39,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ForbiddenWitness:
+class ForbiddenWitness(_FrozenRecord):
     """Concrete embedding of one forbidden pattern.
 
     Reading the input at `rows` x `cols`, in the order given, reproduces
@@ -51,10 +49,16 @@ class ForbiddenWitness:
     the candidates playing them.
     """
 
-    pattern: str
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    symbols: dict[str, Candidate]
+    _fields = ("pattern", "rows", "cols", "symbols")
+
+    def __init__(
+        self,
+        pattern: str,
+        rows: tuple[int, ...],
+        cols: tuple[int, ...],
+        symbols: dict[str, Candidate],
+    ) -> None:
+        self.__dict__.update(pattern=pattern, rows=rows, cols=cols, symbols=symbols)
 
     def describe(self, names: list[str] | None = None) -> str:
         def nm(c: Candidate) -> str:

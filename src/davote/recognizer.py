@@ -21,6 +21,7 @@ from .core import (
     Labeling,
     NoParametersError,
     WinnerTable,
+    _valid_tableau,
     infer_parameters,
     row_signature,
     transpose_tableau,
@@ -49,10 +50,16 @@ def _swap_labeling(res: RecognitionResult) -> RecognitionResult:
 def _recognize_two_candidates(
     t: Correspondence | Form, alpha: int, beta: int
 ) -> RecognitionResult:
-    """p = 2: rank the rows and columns as planes of a two-voter tableau."""
+    """p = 2: rank the rows and columns as planes of a two-voter tableau.
+
+    `t` checked its cells when it was built and its shape gave the
+    weights, so the plane tableau is built without checking them again.
+    """
     kind = "correspondence" if isinstance(t, Correspondence) else "form"
     cells = tuple(cell for row in t.cells for cell in row)
-    res = recognize_n_tableau(NTableau((alpha, beta), kind, cells))
+    res = recognize_n_tableau(
+        _valid_tableau(NTableau, weights=(alpha, beta), kind=kind, cells=cells)
+    )
     if res.verdict == ACCEPTED:
         rows, cols = res.labeling.axis_labels
         res.labeling = Labeling(

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Labeling, PlaneLabeling
+from .core import Labeling, PlaneLabeling, _Record
 
 __all__ = ["RecognitionResult", "ACCEPTED", "REJECTED", "UNDECIDED", "METHODS"]
 
@@ -26,8 +24,7 @@ METHODS = (
 )
 
 
-@dataclass
-class RecognitionResult:
+class RecognitionResult(_Record):
     """Outcome of a recognition attempt.
 
     verdict is "accepted", "rejected" or "undecided".  An accepted
@@ -38,10 +35,19 @@ class RecognitionResult:
     budget (`matching._ROW_NODES`), and the witness names the budget.
     """
 
-    verdict: str
-    method: str
-    labeling: Labeling | PlaneLabeling | None = None
-    witness: object | None = None
+    _fields = ("verdict", "method", "labeling", "witness")
+
+    def __init__(
+        self,
+        verdict: str,
+        method: str,
+        labeling: Labeling | PlaneLabeling | None = None,
+        witness: object | None = None,
+    ) -> None:
+        self.verdict = verdict
+        self.method = method
+        self.labeling = labeling
+        self.witness = witness
 
     @property
     def accepted(self) -> bool:

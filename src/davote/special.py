@@ -8,7 +8,6 @@ by plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 
@@ -21,6 +20,7 @@ from .core import (
     TIE_RULES,
     _check_cells,
     _check_params,
+    _FrozenRecord,
     _validate_grid,
 )
 from .results import ACCEPTED, REJECTED, RecognitionResult
@@ -38,8 +38,7 @@ __all__ = [
 A, B = 0, 1
 
 
-@dataclass(frozen=True)
-class NTableau:
+class NTableau(_FrozenRecord):
     """Joint outcome table for n voters over two candidates.
 
     `cells` is flat in row-major order over the index space
@@ -47,26 +46,24 @@ class NTableau:
     i.  Correspondence cells are winner sets, form cells single winners.
     """
 
-    weights: tuple[int, ...]
-    kind: str
-    cells: tuple
+    _fields = ("weights", "kind", "cells")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("correspondence", "form"):
-            raise ParameterError(f"unknown tableau kind {self.kind!r}")
-        if not self.weights:
+    def __init__(self, weights: tuple[int, ...], kind: str, cells: tuple) -> None:
+        if kind not in ("correspondence", "form"):
+            raise ParameterError(f"unknown tableau kind {kind!r}")
+        if not weights:
             raise ParameterError("need at least one voter")
-        if any(type(w) is not int or w < 1 for w in self.weights):
+        if any(type(w) is not int or w < 1 for w in weights):
             raise ParameterError("voter weights must be ints >= 1")
         expected = 1
-        for w in self.weights:
+        for w in weights:
             expected *= w + 1
-        if len(self.cells) != expected:
+        if len(cells) != expected:
             raise ParameterError(
-                f"expected {expected} cells for weights {self.weights}, "
-                f"got {len(self.cells)}"
+                f"expected {expected} cells for weights {weights}, got {len(cells)}"
             )
-        _validate_grid((self.cells,), 2, self.kind)
+        _validate_grid((cells,), 2, kind)
+        self.__dict__.update(weights=weights, kind=kind, cells=cells)
 
     @property
     def dims(self) -> tuple[int, ...]:

@@ -32,7 +32,6 @@ from .core import (
     PlaneLabeling,
     default_names,
 )
-from .plurality import ForbiddenWitness
 from .results import RecognitionResult
 from .special import NTableau
 
@@ -238,8 +237,13 @@ def load_tableau(path):
 
 
 def _witness_to_json(witness, names: list[str] | None):
-    if witness is None:
-        return None
+    if witness is None or isinstance(witness, str):
+        return witness
+    # Only the plurality route leaves a non-text witness, so `plurality`
+    # is already loaded whenever this import runs.  Importing it here
+    # keeps it out of the commands that recognize nothing.
+    from .plurality import ForbiddenWitness
+
     if isinstance(witness, ForbiddenWitness):
         sym = {
             k: (names[v] if names else v) for k, v in sorted(witness.symbols.items())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 import davote
 
 DOCUMENTED_API = [
@@ -64,3 +66,20 @@ def test_every_exported_name_resolves():
 
 def test_benchmark_names_are_exported():
     assert set(BENCHMARK_NAMES) <= set(davote.__all__)
+
+
+def test_star_import_binds_every_documented_name():
+    namespace: dict = {}
+    exec("from davote import *", namespace)
+    for name in davote.__all__:
+        assert namespace[name] is getattr(davote, name), name
+
+
+def test_dir_lists_every_documented_name():
+    assert set(davote.__all__) <= set(dir(davote))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        davote.no_such_name  # noqa: B018
+    assert not hasattr(davote, "recognize")
