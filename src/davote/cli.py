@@ -100,7 +100,7 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_check_distinct(args) -> int:
-    from .core import SizeGuardError
+    from .core import SizeGuardError, _format_json
     from .distinctness import (
         DEFAULT_MAX_EVALS,
         all_forms_rows_distinct,
@@ -108,7 +108,6 @@ def _cmd_check_distinct(args) -> int:
         empty_differentiating_pairs,
         identical_correspondence_rows,
     )
-    from .tableau_io import _format_json
 
     max_evals = DEFAULT_MAX_EVALS if args.max_evals is None else args.max_evals
     p, alpha, beta = args.p, args.alpha, args.beta
@@ -160,10 +159,10 @@ def _cmd_plurality_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .core import SizeGuardError
+    from .core import SizeGuardError, _format_json
     from .oracle import DEFAULT_LABELING_CAP, DEFAULT_MAX_CELLS, oracle_recognize
     from .special import NTableau, n_tableau_as_grid
-    from .tableau_io import _format_json, load_tableau
+    from .tableau_io import load_tableau
 
     cap = DEFAULT_LABELING_CAP if args.count_cap is None else args.count_cap
     max_cells = DEFAULT_MAX_CELLS if args.max_cells is None else args.max_cells

@@ -23,7 +23,7 @@ from collections import Counter
 from collections.abc import Mapping
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import add
+from operator import add, eq, itemgetter
 from types import MappingProxyType
 
 __all__ = [
@@ -145,9 +145,42 @@ def argmax_set(z: Strategy) -> CandidateSet:
     return frozenset(i for i, v in enumerate(z) if v == top)
 
 
+class _Memo(dict):
+    """Key -> ``make(key)``, made on the key's first lookup and kept."""
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+# Winner-set code -> the one shared set of the candidates whose bits it
+# sets.  Only the codes that occur get a set.
+_SETS = _Memo(lambda code: frozenset(c for c in range(code.bit_length()) if code >> c & 1))
+
+
 def winner_row(x: Strategy, ys) -> tuple[CandidateSet, ...]:
-    """Winner sets of x + y for each opponent strategy y in `ys`, in order."""
-    return tuple(argmax_set(tuple(map(add, x, y))) for y in ys)
+    """Winner sets of x + y for each opponent strategy y in `ys`, in order.
+
+    Equal sets are one shared object, across rows and tables alike.
+    """
+    return _winner_row(x, list(zip(*ys)))
+
+
+def _winner_row(x: Strategy, cols: list[tuple[int, ...]]) -> tuple[CandidateSet, ...]:
+    """`winner_row` over the opponents' card counts, one tuple per candidate."""
+    if not cols:
+        return ()
+    # One card-sum line per candidate, the top sum per cell, then bit c
+    # of a cell's code set where candidate c holds it.
+    sums = [list(map(xc.__add__, col)) for xc, col in zip(x, cols)]
+    top = list(map(max, *sums)) if len(sums) > 1 else sums[0]
+    codes = map(eq, sums[0], top)
+    for c in range(1, len(sums)):
+        codes = map(add, codes, map((1 << c).__mul__, map(eq, sums[c], top)))
+    return tuple(map(_SETS.__getitem__, codes))
 
 
 def _count_bounds(row: tuple[CandidateSet, ...], p: int) -> tuple[Signature, Signature]:
@@ -253,11 +286,8 @@ class WinnerTable(_FrozenRecord):
         """A fresh (p, alpha, beta) table, outside the `winner_table` cache."""
         xs = tuple(enumerate_strategies(p, alpha))
         ys = tuple(enumerate_strategies(p, beta))
-        interned: dict[CandidateSet, CandidateSet] = {}
-        rows = tuple(
-            tuple(interned.setdefault(am, am) for am in winner_row(x, ys)) for x in xs
-        )
-        return cls(p, xs, ys, rows)
+        cols = list(zip(*ys))
+        return cls(p, xs, ys, tuple([_winner_row(x, cols) for x in xs]))
 
     @cached_property
     def bounds(self) -> tuple[tuple[Signature, Signature], ...]:
@@ -447,7 +477,8 @@ def generate_form(p: int, alpha: int, beta: int, tie_rule: str = "min-index") ->
         raise ParameterError(f"unknown tie rule {tie_rule!r}, expected one of {TIE_RULES}")
     corr = generate_correspondence(p, alpha, beta)
     pick = min if tie_rule == "min-index" else max
-    cells = tuple(tuple(pick(cell) for cell in row) for row in corr.cells)
+    winner = {am: pick(am) for am in set().union(*corr.cells)}.__getitem__
+    cells = tuple([tuple(map(winner, row)) for row in corr.cells])
     return _valid_tableau(Form, candidates=p, cells=cells)
 
 
@@ -507,8 +538,9 @@ def labeling_generates(t: Correspondence | Form, labeling: Labeling) -> bool:
     if len(labeling.row_labels) != t.rows or len(labeling.col_labels) != t.cols:
         return False
     is_corr = isinstance(t, Correspondence)
+    cols = list(zip(*labeling.col_labels))
     for row, x in zip(t.cells, labeling.row_labels):
-        ams = winner_row(x, labeling.col_labels)
+        ams = _winner_row(x, cols)
         if is_corr:
             if any(cell != am for cell, am in zip(row, ams)):
                 return False
@@ -526,15 +558,35 @@ def permute_tableau(t, row_perm, col_perm):
     """
     if sorted(row_perm) != list(range(t.rows)) or sorted(col_perm) != list(range(t.cols)):
         raise ParameterError("row_perm/col_perm must permute the tableau indices")
-    cells = tuple(
-        tuple(t.cells[ri][cj] for cj in col_perm) for ri in row_perm
-    )
-    return _valid_tableau(type(t), candidates=t.candidates, cells=cells)
+    rows = map(itemgetter(*col_perm), map(t.cells.__getitem__, row_perm))
+    if len(col_perm) == 1:
+        # itemgetter of one index returns the cell itself, not a 1-tuple.
+        rows = zip(rows)
+    return _valid_tableau(type(t), candidates=t.candidates, cells=tuple(rows))
 
 
 def transpose_tableau(t):
     """The same tableau with the two voters' roles swapped."""
     return _valid_tableau(type(t), candidates=t.candidates, cells=tuple(zip(*t.cells)))
+
+
+def _format_json(obj: dict) -> str:
+    """`obj` as JSON text with one top-level key per line.
+
+    Each matrix row of "cells" gets its own line too, so a dumped
+    tableau reads like a matrix.
+    """
+    # Imported here: `json` is needed only by the commands that write it.
+    import json
+
+    parts = []
+    for key, val in obj.items():
+        if key == "cells" and isinstance(val, list) and val and isinstance(val[0], list):
+            rows = ",\n  ".join(map(json.dumps, val))
+            parts.append(f' "cells": [\n  {rows}\n ]')
+        else:
+            parts.append(f" {json.dumps(key)}: {json.dumps(val)}")
+    return "{\n" + ",\n".join(parts) + "\n}"
 
 
 def default_names(p: int) -> list[str]:

@@ -15,6 +15,8 @@ independent cross-check.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .core import (
     Correspondence,
     Form,
@@ -56,7 +58,7 @@ def _recognize_two_candidates(
     weights, so the plane tableau is built without checking them again.
     """
     kind = "correspondence" if isinstance(t, Correspondence) else "form"
-    cells = tuple(cell for row in t.cells for cell in row)
+    cells = tuple(chain.from_iterable(t.cells))
     res = recognize_n_tableau(
         _valid_tableau(NTableau, weights=(alpha, beta), kind=kind, cells=cells)
     )

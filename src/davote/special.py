@@ -12,6 +12,7 @@ from itertools import product
 from math import prod
 
 from .core import (
+    _SETS,
     CandidateSet,
     Correspondence,
     Form,
@@ -36,6 +37,10 @@ __all__ = [
 
 
 A, B = 0, 1
+# The shared winner sets: candidate 0 alone, candidate 1 alone, both.
+_WIN_A, _WIN_B, _TIE = _SETS[1 << A], _SETS[1 << B], _SETS[1 << A | 1 << B]
+# The winners of a cell, correspondence or form, as a shared tuple.
+_WINNERS = {_WIN_A: (A,), _WIN_B: (B,), _TIE: (A, B), A: (A,), B: (B,)}
 
 
 class NTableau(_FrozenRecord):
@@ -79,12 +84,20 @@ class NTableau(_FrozenRecord):
         return self.cells[self.flat_index(z)]
 
 
-def _threshold_cell(total: int, sigma: int) -> CandidateSet:
-    if 2 * total > sigma:
-        return frozenset({A})
-    if 2 * total == sigma:
-        return frozenset({A, B})
-    return frozenset({B})
+def _threshold_cells(sigma: int) -> list[CandidateSet]:
+    """Per card total 0..sigma on candidate 0, the shared winner set."""
+    return [
+        _WIN_A if 2 * total > sigma else _TIE if 2 * total == sigma else _WIN_B
+        for total in range(sigma + 1)
+    ]
+
+
+def _flat_sums(lines) -> list[int]:
+    """Per cell in row-major order, the sum over axes i of ``lines[i][z_i]``."""
+    sums = [0]
+    for line in lines:
+        sums = [s + v for s in sums for v in line]
+    return sums
 
 
 def generate_n_tableau(
@@ -104,13 +117,12 @@ def generate_n_tableau(
     weights = tuple(weights)
     _check_params(2, *weights)
     _check_cells(prod(w + 1 for w in weights), f"the tableau for weights {weights}")
-    sigma = sum(weights)
-    pick = min if tie_rule == "min-index" else max
-    cells = []
-    for z in product(*(range(w + 1) for w in weights)):
-        am = _threshold_cell(sum(z), sigma)
-        cells.append(am if kind == "correspondence" else pick(am))
-    return NTableau(weights=weights, kind=kind, cells=tuple(cells))
+    by_total = _threshold_cells(sum(weights))
+    if kind != "correspondence":
+        pick = min if tie_rule == "min-index" else max
+        by_total = list(map(pick, by_total))
+    totals = _flat_sums(range(w + 1) for w in weights)
+    return NTableau(weights=weights, kind=kind, cells=tuple(map(by_total.__getitem__, totals)))
 
 
 def plane_signature(f: NTableau) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -120,9 +132,7 @@ def plane_signature(f: NTableau) -> tuple[tuple[tuple[int, int], ...], ...]:
     candidate 1) in the plane fixing `axis` at `z`.
     """
     counts = [[[0, 0] for _ in range(d)] for d in f.dims]
-    is_corr = f.kind == "correspondence"
-    for z, cell in zip(product(*map(range, f.dims)), f.cells):
-        winners = cell if is_corr else (cell,)
+    for z, winners in zip(product(*map(range, f.dims)), map(_WINNERS.__getitem__, f.cells)):
         for planes, t in zip(counts, z):
             for c in winners:
                 planes[t][c] += 1
@@ -140,7 +150,7 @@ def recognize_n_tableau(f: NTableau) -> RecognitionResult:
     iff every cell then matches the half-total threshold rule.
     """
     method = "two-candidate"
-    sigma = sum(f.weights)
+    by_total = _threshold_cells(sum(f.weights))
     labels: list[tuple[int, ...]] = []
     for planes in plane_signature(f):
         order = sorted(range(len(planes)), key=lambda z: (planes[z][A], -planes[z][B], z))
@@ -152,7 +162,7 @@ def recognize_n_tableau(f: NTableau) -> RecognitionResult:
     is_corr = f.kind == "correspondence"
     for z, parts, cell in zip(product(*map(range, f.dims)), product(*labels), f.cells):
         total = sum(parts)
-        am = _threshold_cell(total, sigma)
+        am = by_total[total]
         if (cell != am) if is_corr else (cell not in am):
             return RecognitionResult(
                 REJECTED,
@@ -172,11 +182,13 @@ def permute_axes(f: NTableau, perms: list[list[int]] | tuple) -> NTableau:
     for perm, d in zip(perms, f.dims):
         if sorted(perm) != list(range(d)):
             raise ParameterError(f"{perm!r} does not permute 0..{d - 1}")
-    cells = []
-    for z in product(*(range(d) for d in f.dims)):
-        src = tuple(perm[t] for perm, t in zip(perms, z))
-        cells.append(f.cell(src))
-    return NTableau(weights=f.weights, kind=f.kind, cells=tuple(cells))
+    # Axis i's source planes, scaled by its row-major stride.
+    lines, stride = [], 1
+    for perm, d in zip(reversed(perms), reversed(f.dims)):
+        lines.append([src * stride for src in perm])
+        stride *= d
+    src = _flat_sums(reversed(lines))
+    return NTableau(weights=f.weights, kind=f.kind, cells=tuple(map(f.cells.__getitem__, src)))
 
 
 def n_tableau_as_grid(f: NTableau):

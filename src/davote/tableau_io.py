@@ -22,6 +22,7 @@ count and recognition will reject it, which is the honest answer.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 from .core import (
@@ -30,6 +31,8 @@ from .core import (
     Labeling,
     ParameterError,
     PlaneLabeling,
+    _format_json,
+    _Memo,
     default_names,
 )
 from .results import RecognitionResult
@@ -58,12 +61,19 @@ def _checked_names(t, names: list[str] | None) -> list[str]:
     return list(names)
 
 
+def _cell_names(cells, names) -> dict:
+    """Winner set -> its index-sorted list of names, for every set among `cells`."""
+    return {am: [names[c] for c in sorted(am)] for am in set(cells)}
+
+
 def _to_dict(t, names: list[str]) -> dict:
+    # Each distinct cell is encoded once and shared by every cell equal to it.
     if isinstance(t, NTableau):
         if t.kind == "correspondence":
-            cells = ["".join(_N_NAMES[c] for c in sorted(cell)) for cell in t.cells]
+            enc = {am: "".join(n) for am, n in _cell_names(t.cells, _N_NAMES).items()}
+            cells = list(map(enc.__getitem__, t.cells))
         else:
-            cells = [_N_NAMES[cell] for cell in t.cells]
+            cells = list(map(_N_NAMES.__getitem__, t.cells))
         return {
             "kind": t.kind,
             "weights": list(t.weights),
@@ -73,11 +83,11 @@ def _to_dict(t, names: list[str]) -> dict:
         }
     if isinstance(t, Correspondence):
         kind = "correspondence"
-        cells = [[[names[c] for c in sorted(cell)] for cell in row] for row in t.cells]
+        enc = _cell_names(chain.from_iterable(t.cells), names).__getitem__
     else:
         kind = "form"
-        cells = [[names[c] for c in row] for row in t.cells]
-    return {"kind": kind, "candidates": names, "cells": cells}
+        enc = names.__getitem__
+    return {"kind": kind, "candidates": names, "cells": [list(map(enc, row)) for row in t.cells]}
 
 
 def _to_text(t, names: list[str]) -> str:
@@ -88,23 +98,12 @@ def _to_text(t, names: list[str]) -> str:
     bad = [n for n in names if any(ch in n for ch in " \t{},")]
     if bad:
         raise ParameterError(f"name {bad[0]!r} cannot appear in the text format")
-    rows = _to_dict(t, names)["cells"]
     if isinstance(t, Correspondence):
-        rows = [["{" + ",".join(cell) + "}" for cell in row] for row in rows]
-    return "".join(" ".join(row) + "\n" for row in rows)
-
-
-def _format_json(obj: dict) -> str:
-    # Hand-rolled layout: one top-level key per line, and each matrix row
-    # of "cells" on its own line, so a dumped tableau reads like a matrix.
-    parts = []
-    for key, val in obj.items():
-        if key == "cells" and isinstance(val, list) and val and isinstance(val[0], list):
-            rows = ",\n  ".join(json.dumps(r) for r in val)
-            parts.append(f' "cells": [\n  {rows}\n ]')
-        else:
-            parts.append(f" {json.dumps(key)}: {json.dumps(val)}")
-    return "{\n" + ",\n".join(parts) + "\n}"
+        cell_names = _cell_names(chain.from_iterable(t.cells), names)
+        enc = {am: "{" + ",".join(n) + "}" for am, n in cell_names.items()}.__getitem__
+    else:
+        enc = names.__getitem__
+    return "".join([" ".join(map(enc, row)) + "\n" for row in t.cells])
 
 
 def dumps_tableau(t, names: list[str] | None = None, fmt: str = "json") -> str:
@@ -153,13 +152,35 @@ def _from_json(data: dict):
     def members(cell) -> frozenset[int]:
         if not isinstance(cell, list):
             raise ParameterError(f"correspondence cell {cell!r} is not a list of names")
-        return frozenset(one(n) for n in cell)
+        return frozenset(map(one, cell))
 
     if kind == "correspondence":
-        cells = tuple(tuple(members(cell) for cell in row) for row in rows)
+        if set(map(type, chain.from_iterable(rows))) == {list}:
+            # Every cell is a list of names, so its names as a tuple key it.
+            cells = _decode_rows(rows, lambda cell: frozenset(map(one, cell)), tuple)
+        else:
+            cells = tuple([tuple(map(members, row)) for row in rows])
         return Correspondence(candidates=len(names), cells=cells), list(names)
-    cells = tuple(tuple(one(n) for n in row) for row in rows)
+    cells = _decode_rows(rows, one)
     return Form(candidates=len(names), cells=cells), list(names)
+
+
+def _decode_rows(rows, decode, key=None) -> tuple:
+    """Every cell of `rows` decoded, each distinct cell only once.
+
+    The memo is keyed by ``key(cell)``, or by the cell itself when `key`
+    is None, and `decode` must take a key as it takes a cell.  Distinct
+    cells are first met in row-major order, so a defect is raised for
+    the first defective cell.  When a key is unhashable, every cell is
+    decoded in turn instead, which raises the same first error.
+    """
+    memo = _Memo(decode).__getitem__
+    try:
+        if key is None:
+            return tuple([tuple(map(memo, row)) for row in rows])
+        return tuple([tuple(map(memo, map(key, row))) for row in rows])
+    except TypeError:
+        return tuple([tuple(map(decode, row)) for row in rows])
 
 
 def _n_tableau_from_json(data: dict):
@@ -175,8 +196,8 @@ def _n_tableau_from_json(data: dict):
     raw = data.get("cells")
     if not isinstance(raw, list):
         raise ParameterError("'cells' must be a flat list")
-    cells = []
-    for tok in raw:
+
+    def decode(tok):
         if not isinstance(tok, str):
             raise ParameterError(f"bad two-candidate cell {tok!r}")
         members = frozenset(_N_NAMES.index(ch) for ch in tok if ch in _N_NAMES)
@@ -185,10 +206,11 @@ def _n_tableau_from_json(data: dict):
         if kind == "form":
             if len(members) != 1:
                 raise ParameterError(f"form cell {tok!r} must name one candidate")
-            cells.append(next(iter(members)))
-        else:
-            cells.append(members)
-    return NTableau(weights=weights, kind=kind, cells=tuple(cells)), list(_N_NAMES)
+            return next(iter(members))
+        return members
+
+    (cells,) = _decode_rows((raw,), decode)
+    return NTableau(weights=weights, kind=kind, cells=cells), list(_N_NAMES)
 
 
 def _from_text(text: str):

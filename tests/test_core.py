@@ -35,6 +35,7 @@ from davote.core import (
     strategy_count,
     transpose_tableau,
     winner_counts,
+    winner_row,
     winner_table,
 )
 from davote.recognizer import recognize_tableau
@@ -105,6 +106,28 @@ class TestArgmax:
         z = tuple(zs)
         top = max(z)
         assert argmax_set(z) == frozenset(i for i, v in enumerate(z) if v == top)
+
+
+@st.composite
+def row_and_opponents(draw):
+    """A strategy-like vector x and up to 12 opponents, over p = 2-7 or 13 candidates."""
+    p = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 13]))
+    vec = st.tuples(*[st.integers(0, 6)] * p)
+    return draw(vec), draw(st.lists(vec, max_size=12))
+
+
+class TestWinnerRow:
+    @given(row_and_opponents())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_argmax_of_each_sum(self, drawn):
+        x, ys = drawn
+        want = tuple(argmax_set(tuple(a + b for a, b in zip(x, y))) for y in ys)
+        assert winner_row(x, ys) == want
+
+    @pytest.mark.parametrize("key", [(2, 4, 5), (3, 3, 3), (5, 2, 3), (13, 1, 2)])
+    def test_equal_sets_are_one_object_within_a_table(self, key):
+        cells = [am for row in WinnerTable.build(*key).rows for am in row]
+        assert len({id(am) for am in cells}) == len(set(cells))
 
 
 class TestGenerateCorrespondence:

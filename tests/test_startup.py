@@ -24,10 +24,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # `inspect`, `ast`, `dis` and `tokenize`.
 SLOW = {"dataclasses", "inspect"}
 
-# What each command's own modules are.  `tableau_io` brings `special`
-# and `results`, the n-voter tableau and the result record it reads.
-IO = {"davote", "davote.cli", "davote.core", "davote.tableau_io", "davote.special",
-      "davote.results"}
+# What every command loads, and what a command reading or writing a
+# tableau adds: `tableau_io` brings `special` and `results`, the n-voter
+# tableau and the result record it reads.
+BASE = {"davote", "davote.cli", "davote.core"}
+IO = BASE | {"davote.tableau_io", "davote.special", "davote.results"}
 
 
 def loaded(code: str, cwd: Path) -> set[str]:
@@ -56,17 +57,17 @@ def test_star_import_loads_only_the_documented_modules(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv,own",
+    "argv,want",
     [
-        (["generate", "--p", "3", "--alpha", "2", "--beta", "2"], set()),
-        (["generate", "--p", "3", "--alpha", "1", "--beta", "2", "--kind", "form"], set()),
+        (["generate", "--p", "3", "--alpha", "2", "--beta", "2"], IO),
+        (["generate", "--p", "3", "--alpha", "1", "--beta", "2", "--kind", "form"], IO),
         (["check-distinct", "--p", "3", "--alpha", "2", "--beta", "2"],
-         {"davote.distinctness"}),
-        (["oracle", "corr.json"], {"davote.oracle"}),
+         BASE | {"davote.distinctness"}),
+        (["oracle", "corr.json"], IO | {"davote.oracle"}),
     ],
     ids=["generate", "generate-form", "check-distinct", "oracle"],
 )
-def test_a_command_loads_only_its_modules(tmp_path, argv, own):
+def test_a_command_loads_only_its_modules(tmp_path, argv, want):
     save_tableau(generate_correspondence(3, 1, 2), tmp_path / "corr.json")
     code = (
         "import contextlib, io\n"
@@ -74,4 +75,10 @@ def test_a_command_loads_only_its_modules(tmp_path, argv, own):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == 0\n"
     )
-    assert loaded(code, tmp_path) == IO | own
+    assert loaded(code, tmp_path) == want
+
+
+def test_recognition_loads_no_json(tmp_path):
+    # `core` imports `json` only inside the formatter that writes it.
+    code = "import sys\nimport davote.recognizer\nassert 'json' not in sys.modules\n"
+    assert "davote.recognizer" in loaded(code, tmp_path)
