@@ -206,14 +206,34 @@ def _candidate_masks(row: tuple[CandidateSet, ...], p: int) -> tuple[int, ...]:
 
 
 class _Record:
-    """Equality and repr over the fields named in `_fields`, in that order.
+    """Construction, equality and repr over the fields named in `_fields`.
 
-    A record equals only a record of the same class with equal fields.
-    It is unhashable, since its fields may be reassigned; its repr reads
-    ``Name(field=value, ...)``.
+    Arguments bind to `_fields` as in a signature, a field left out
+    takes its `_defaults` value, and the fields are stored once the
+    `_check` hook accepts them.  A record equals only a record of the
+    same class with equal fields.  It is unhashable, since its fields
+    may be reassigned; its repr reads ``Name(field=value, ...)``.
     """
 
     _fields: tuple[str, ...] = ()
+    _defaults: Mapping[str, object] = MappingProxyType({})
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} fields, got {len(args)}")
+        for key in kwargs:
+            if key not in cls._fields[len(args):]:
+                raise TypeError(f"{cls.__name__}() got an unknown or repeated field {key!r}")
+        fields = {**cls._defaults, **dict(zip(cls._fields, args)), **kwargs}
+        if len(fields) < len(cls._fields):
+            missing = [key for key in cls._fields if key not in fields]
+            raise TypeError(f"{cls.__name__}() is missing field {missing[0]!r}")
+        self._check(**fields)
+        self.__dict__.update(fields)
+
+    def _check(self, **fields) -> None:
+        """Raise if `fields` make no valid record; every record is valid by default."""
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -233,7 +253,7 @@ class _Record:
 class _FrozenRecord(_Record):
     """A `_Record` that hashes its fields and refuses every later assignment.
 
-    `__init__` stores the fields into ``self.__dict__``; setting or
+    The constructor stores the fields into ``self.__dict__``; setting or
     deleting any attribute afterwards raises
     `dataclasses.FrozenInstanceError`.  A `cached_property` still works,
     since it writes the instance dict directly.
@@ -271,15 +291,6 @@ class WinnerTable(_FrozenRecord):
     """
 
     _fields = ("p", "xs", "ys", "rows")
-
-    def __init__(
-        self,
-        p: int,
-        xs: tuple[Strategy, ...],
-        ys: tuple[Strategy, ...],
-        rows: tuple[tuple[CandidateSet, ...], ...],
-    ) -> None:
-        self.__dict__.update(p=p, xs=xs, ys=ys, rows=rows)
 
     @classmethod
     def build(cls, p: int, alpha: int, beta: int) -> WinnerTable:
@@ -320,45 +331,43 @@ def winner_table(p: int, alpha: int, beta: int) -> WinnerTable:
     return WinnerTable.build(p, alpha, beta)
 
 
-class Correspondence(_FrozenRecord):
+class _Grid(_FrozenRecord):
+    """What `Correspondence` and `Form` share: fields, shape and a check by `_kind`."""
+
+    _fields = ("candidates", "cells")
+    _kind: str
+
+    def _check(self, candidates, cells) -> None:
+        _validate_grid(cells, candidates, kind=self._kind)
+
+    @property
+    def rows(self) -> int:
+        return len(self.cells)
+
+    @property
+    def cols(self) -> int:
+        return len(self.cells[0])
+
+
+class Correspondence(_Grid):
     """Outcome matrix whose cells are full argmax sets.
 
-    `cells[i][j]` is the winner set when the row voter plays the i-th
-    strategy and the column voter the j-th one.  `candidates` is the
-    number of candidates p; cell members must lie in ``0..p-1``.
+    `cells`, a ``tuple[tuple[CandidateSet, ...], ...]``, holds at
+    `cells[i][j]` the winner set when the row voter plays the i-th
+    strategy and the column voter the j-th one.  `candidates`, an int,
+    is the number of candidates p; cell members must lie in ``0..p-1``.
     """
 
-    _fields = ("candidates", "cells")
-
-    def __init__(self, candidates: int, cells: tuple[tuple[CandidateSet, ...], ...]) -> None:
-        _validate_grid(cells, candidates, kind="correspondence")
-        self.__dict__.update(candidates=candidates, cells=cells)
-
-    @property
-    def rows(self) -> int:
-        return len(self.cells)
-
-    @property
-    def cols(self) -> int:
-        return len(self.cells[0])
+    _kind = "correspondence"
 
 
-class Form(_FrozenRecord):
-    """Outcome matrix whose cells are single winners (resolved ties)."""
+class Form(_Grid):
+    """Outcome matrix whose cells are single winners (resolved ties).
 
-    _fields = ("candidates", "cells")
+    Fields as in `Correspondence`, with one `Candidate` (int) per cell.
+    """
 
-    def __init__(self, candidates: int, cells: tuple[tuple[Candidate, ...], ...]) -> None:
-        _validate_grid(cells, candidates, kind="form")
-        self.__dict__.update(candidates=candidates, cells=cells)
-
-    @property
-    def rows(self) -> int:
-        return len(self.cells)
-
-    @property
-    def cols(self) -> int:
-        return len(self.cells[0])
+    _kind = "form"
 
 
 def _validate_grid(cells, p: int, kind: str) -> None:
@@ -426,29 +435,22 @@ class Labeling(_FrozenRecord):
     """Row and column strategies recovered by a recognizer.
 
     `row_labels[i]` is the strategy assigned to row i, `col_labels[j]`
-    the strategy assigned to column j.  Both are bijections onto the
-    respective strategy sets.
+    the strategy assigned to column j.  Both are tuples of strategies
+    and bijections onto the respective strategy sets.
     """
 
     _fields = ("row_labels", "col_labels")
-
-    def __init__(
-        self, row_labels: tuple[Strategy, ...], col_labels: tuple[Strategy, ...]
-    ) -> None:
-        self.__dict__.update(row_labels=row_labels, col_labels=col_labels)
 
 
 class PlaneLabeling(_FrozenRecord):
     """Per-axis strategy values recovered for an n-voter tableau.
 
-    `axis_labels[i][t]` is the card count on the first candidate that
-    voter i plays in the plane currently at index t along axis i.
+    `axis_labels`, a tuple of int tuples, holds at ``[i][t]`` the card
+    count on the first candidate that voter i plays in the plane
+    currently at index t along axis i.
     """
 
     _fields = ("axis_labels",)
-
-    def __init__(self, axis_labels: tuple[tuple[int, ...], ...]) -> None:
-        self.__dict__.update(axis_labels=axis_labels)
 
 
 def generate_correspondence(p: int, alpha: int, beta: int) -> Correspondence:

@@ -36,22 +36,11 @@ class OracleReport(_Record):
 
     `labelings_found` is capped, so it means "at least this many" when
     it equals the cap.  `one_labeling` is the first labeling in search
-    order, None when the input is not distributed approval.
+    order, None when the input is not distributed approval.  `is_dav`
+    is a bool and `nodes_explored` an int.
     """
 
     _fields = ("is_dav", "labelings_found", "one_labeling", "nodes_explored")
-
-    def __init__(
-        self,
-        is_dav: bool,
-        labelings_found: int,
-        one_labeling: Labeling | None,
-        nodes_explored: int,
-    ) -> None:
-        self.is_dav = is_dav
-        self.labelings_found = labelings_found
-        self.one_labeling = one_labeling
-        self.nodes_explored = nodes_explored
 
 
 def oracle_recognize(

@@ -46,19 +46,11 @@ class ForbiddenWitness(_FrozenRecord):
     listed high-before-low when the equal pair sits on the anti
     diagonal); m3 uses a single row with four columns or a single column
     with four rows.  `symbols` maps the pattern's placeholder letters to
-    the candidates playing them.
+    the candidates playing them.  `pattern` is "m1", "m2" or "m3",
+    `rows` and `cols` are int tuples and `symbols` a dict.
     """
 
     _fields = ("pattern", "rows", "cols", "symbols")
-
-    def __init__(
-        self,
-        pattern: str,
-        rows: tuple[int, ...],
-        cols: tuple[int, ...],
-        symbols: dict[str, Candidate],
-    ) -> None:
-        self.__dict__.update(pattern=pattern, rows=rows, cols=cols, symbols=symbols)
 
     def describe(self, names: list[str] | None = None) -> str:
         def nm(c: Candidate) -> str:

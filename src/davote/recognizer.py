@@ -57,10 +57,9 @@ def _recognize_two_candidates(
     `t` checked its cells when it was built and its shape gave the
     weights, so the plane tableau is built without checking them again.
     """
-    kind = "correspondence" if isinstance(t, Correspondence) else "form"
     cells = tuple(chain.from_iterable(t.cells))
     res = recognize_n_tableau(
-        _valid_tableau(NTableau, weights=(alpha, beta), kind=kind, cells=cells)
+        _valid_tableau(NTableau, weights=(alpha, beta), kind=t._kind, cells=cells)
     )
     if res.verdict == ACCEPTED:
         rows, cols = res.labeling.axis_labels

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import Labeling, PlaneLabeling, _Record
+from .core import _Record
 
 __all__ = ["RecognitionResult", "ACCEPTED", "REJECTED", "UNDECIDED", "METHODS"]
 
@@ -33,21 +33,12 @@ class RecognitionResult(_Record):
     rejected result carries a witness describing one reason for the
     failure; "undecided" marks a form whose row search spent its node
     budget (`matching._ROW_NODES`), and the witness names the budget.
+    `method` is one of `METHODS`; `labeling`, a `Labeling` or
+    `PlaneLabeling`, and `witness`, any object, default to None.
     """
 
     _fields = ("verdict", "method", "labeling", "witness")
-
-    def __init__(
-        self,
-        verdict: str,
-        method: str,
-        labeling: Labeling | PlaneLabeling | None = None,
-        witness: object | None = None,
-    ) -> None:
-        self.verdict = verdict
-        self.method = method
-        self.labeling = labeling
-        self.witness = witness
+    _defaults = {"labeling": None, "witness": None}
 
     @property
     def accepted(self) -> bool:

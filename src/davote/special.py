@@ -48,27 +48,25 @@ class NTableau(_FrozenRecord):
 
     `cells` is flat in row-major order over the index space
     ``product(range(w + 1) for w in weights)``; axis i belongs to voter
-    i.  Correspondence cells are winner sets, form cells single winners.
+    i.  `weights` is a tuple of ints, `kind` "correspondence" or "form",
+    and `cells` a tuple: of winner sets or of single winners.
     """
 
     _fields = ("weights", "kind", "cells")
 
-    def __init__(self, weights: tuple[int, ...], kind: str, cells: tuple) -> None:
+    def _check(self, weights, kind, cells) -> None:
         if kind not in ("correspondence", "form"):
             raise ParameterError(f"unknown tableau kind {kind!r}")
         if not weights:
             raise ParameterError("need at least one voter")
         if any(type(w) is not int or w < 1 for w in weights):
             raise ParameterError("voter weights must be ints >= 1")
-        expected = 1
-        for w in weights:
-            expected *= w + 1
+        expected = prod(w + 1 for w in weights)
         if len(cells) != expected:
             raise ParameterError(
                 f"expected {expected} cells for weights {weights}, got {len(cells)}"
             )
         _validate_grid((cells,), 2, kind)
-        self.__dict__.update(weights=weights, kind=kind, cells=cells)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -199,6 +197,5 @@ def n_tableau_as_grid(f: NTableau):
     cells = tuple(
         tuple(f.cell((i, j)) for j in range(cols)) for i in range(rows)
     )
-    if f.kind == "correspondence":
-        return Correspondence(candidates=2, cells=cells)
-    return Form(candidates=2, cells=cells)
+    grid = Correspondence if f.kind == "correspondence" else Form
+    return grid(candidates=2, cells=cells)

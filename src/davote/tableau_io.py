@@ -82,12 +82,11 @@ def _to_dict(t, names: list[str]) -> dict:
             "cells": cells,
         }
     if isinstance(t, Correspondence):
-        kind = "correspondence"
         enc = _cell_names(chain.from_iterable(t.cells), names).__getitem__
     else:
-        kind = "form"
         enc = names.__getitem__
-    return {"kind": kind, "candidates": names, "cells": [list(map(enc, row)) for row in t.cells]}
+    cells = [list(map(enc, row)) for row in t.cells]
+    return {"kind": t._kind, "candidates": names, "cells": cells}
 
 
 def _to_text(t, names: list[str]) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import product
 
@@ -22,7 +23,10 @@ from davote import (
 )
 from davote.core import enumerate_strategies, infer_parameters, labeling_generates, winner_row
 from davote import matching, recognizer
+from davote.cli import main
 from davote.oracle import oracle_recognize
+from davote.results import METHODS
+from davote.tableau_io import save_tableau
 from conftest import (
     A,
     B,
@@ -445,3 +449,57 @@ class TestRecognizeTableau:
         assert recognize_tableau(g).verdict == UNDECIDED
         with pytest.raises(TypeError):
             recognize_tableau(g, oracle_cells=200)
+
+    def test_every_route_returns_one_of_the_methods(self):
+        tableaux = [
+            generate_form(2, 2, 3),  # p = 2: plane ranking
+            generate_correspondence(3, 2, 2),  # p >= 3 correspondence
+            generate_form(4, 1, 1),  # single-card form
+            generate_form(3, 2, 4),  # every form at (3, 2, 4) has distinct rows
+            generate_form(3, 3, 3),  # leftover regime: the row search
+        ]
+        assert {recognize_tableau(t).method for t in tableaux} == set(METHODS)
+
+
+# A 20 x 20 form at (4, 3, 3) with 20 distinct rows, one digit per cell,
+# found by a hill climb that mutated cells and copied rows to maximise
+# the row search's node count.
+SPENT_BUDGET_ROWS = """
+00000020000000003010 00003302201000310021 00003002201000310321 30100030210230200010
+01130110311211112213 00001002030112132233 30301002001112332233 21032232200222212213
+01212002132112230233 03111132333032113333 11211111111111011113 00122110311111113213
+01120110311211113213 22032232200212212213 00201132210212232233 01302333333233332303
+02222221222222232222 22032132200212222213 03330213331330322313 33333333333333312303
+"""
+
+
+class TestSpentRowSearchBudget:
+    """The fast path leaves this form undecided where the oracle rejects it.
+
+    Column forward checking in the row search (narrowing each column's
+    fits as rows are placed, as ROADMAP.md plans) should turn the
+    expected verdict here into `rejected`, in a handful of nodes.
+    """
+
+    @pytest.fixture
+    def g(self):
+        rows = SPENT_BUDGET_ROWS.split()
+        return Form(candidates=4, cells=tuple(tuple(map(int, row)) for row in rows))
+
+    def test_the_oracle_rejects_it_in_two_nodes(self, g):
+        assert (g.rows, g.cols, len(set(g.cells))) == (20, 20, 20)
+        report = oracle_recognize(g, max_cells=400)
+        assert not report.is_dav and report.nodes_explored == 2
+
+    def test_the_row_search_spends_its_budget(self, g):
+        res = recognize_tableau(g)
+        assert res.verdict != ACCEPTED
+        assert (res.verdict, res.method) == (UNDECIDED, "row-search")
+        assert res.witness == "row search stopped at its budget of 10000 nodes"
+
+    def test_the_cli_exits_2(self, g, tmp_path, capsys):
+        path = tmp_path / "spent.json"
+        save_tableau(g, path)
+        assert main(["recognize", str(path)]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == UNDECIDED and out["row_labels"] is None

@@ -129,6 +129,41 @@ class TestRecord:
         assert repr(record) == text
 
 
+@pytest.mark.parametrize("record,text,frozen", CASES, ids=IDS)
+class TestConstructor:
+    """Fields bind as in a signature; a binding error is a plain `TypeError`."""
+
+    def refused(self, record, *args, **kwargs) -> str:
+        with pytest.raises(TypeError) as info:
+            type(record)(*args, **kwargs)
+        assert info.type is TypeError  # not the CellTypeError of a bad grid
+        assert str(info.value).startswith(f"{type(record).__name__}()")
+        return str(info.value)
+
+    def test_one_positional_argument_too_many(self, record, text, frozen):
+        self.refused(record, *values(record), None)
+
+    def test_a_missing_field(self, record, text, frozen):
+        for name in record._fields:
+            if name not in record._defaults:
+                given = dict(zip(record._fields, values(record)))
+                del given[name]
+                assert repr(name) in self.refused(record, **given)
+
+    def test_an_unknown_keyword(self, record, text, frozen):
+        assert "'extra'" in self.refused(record, *values(record), extra=1)
+
+    def test_a_field_given_by_position_and_by_keyword(self, record, text, frozen):
+        name, value = record._fields[0], values(record)[0]
+        assert repr(name) in self.refused(record, *values(record), **{name: value})
+
+
+def test_recognition_result_defaults_its_labeling_and_witness():
+    res = RecognitionResult("rejected", "plurality")
+    assert res.labeling is None and res.witness is None
+    assert res == RecognitionResult("rejected", "plurality", None, None)
+
+
 def test_a_form_is_not_a_correspondence_with_the_same_fields():
     form = Form(2, ((0, 1),))
     twin_corr = _valid_tableau(Correspondence, candidates=2, cells=form.cells)
