@@ -194,6 +194,42 @@ class TestRecognizeCorrespondence:
         assert res.witness.startswith("after transposing: ")
 
 
+def _edited_3_2_2(edit) -> Correspondence:
+    cells = [list(row) for row in generate_correspondence(3, 2, 2).cells]
+    edit(cells)
+    return Correspondence(candidates=3, cells=tuple(map(tuple, cells)))
+
+
+def _swap_row_0_cells_0_and_3(cells):
+    cells[0][0], cells[0][3] = cells[0][3], cells[0][0]
+
+
+def _copy_row_4_over_row_2(cells):
+    cells[2] = list(cells[4])
+
+
+def _widen_cell_1_1(cells):
+    cells[1][1] = frozenset({A, B, 2})
+
+
+class TestCorrespondenceRejectionWitnesses:
+    """Each stage of the signature-matching route names its own defect."""
+
+    @pytest.mark.parametrize(
+        "edit,witness",
+        [
+            (_swap_row_0_cells_0_and_3, "no perfect matching labels the columns"),
+            (_copy_row_4_over_row_2, "rows 2 and 4 both map to strategy (0, 1, 1)"),
+            (_widen_cell_1_1, "row 1 signature matches 0 strategies instead of exactly one"),
+        ],
+    )
+    def test_witness(self, edit, witness):
+        res = recognize_tableau(_edited_3_2_2(edit))
+        assert res.verdict == REJECTED
+        assert res.method == "signature-matching"
+        assert res.witness == witness
+
+
 class TestCountColumnMatchings:
     def test_unique_for_distinct_columns(self, corr_2_3_3):
         rows = list(enumerate_strategies(2, 3))
