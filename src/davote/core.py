@@ -23,7 +23,7 @@ from collections import Counter
 from collections.abc import Mapping
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import add, eq, itemgetter
+from operator import add, eq, is_, itemgetter
 from types import MappingProxyType
 
 __all__ = [
@@ -161,6 +161,19 @@ class _Memo(dict):
 _SETS = _Memo(lambda code: frozenset(c for c in range(code.bit_length()) if code >> c & 1))
 
 
+def _shared_cells(cells) -> tuple[tuple[CandidateSet, ...], ...]:
+    """Correspondence `cells` with every set the `_SETS` object equal to it.
+
+    Each distinct set is looked up once.  When every cell already is
+    its shared object, `cells` comes back as it is.  Shared cells
+    compare with table rows by identity instead of by content.
+    """
+    share = _Memo(lambda s: _SETS[sum(1 << c for c in s)]).__getitem__
+    if all(map(is_, chain.from_iterable(cells), map(share, chain.from_iterable(cells)))):
+        return cells
+    return tuple([tuple(map(share, row)) for row in cells])
+
+
 def winner_row(x: Strategy, ys) -> tuple[CandidateSet, ...]:
     """Winner sets of x + y for each opponent strategy y in `ys`, in order.
 
@@ -285,9 +298,10 @@ class WinnerTable(_FrozenRecord):
     sets.  Every part is a tuple, so a shared table cannot be changed by
     a caller.
 
-    `bounds`, `masks` and `signatures` hold what the p >= 3 recognizers
-    read off the rows.  Each is built on its first read and then kept
-    with the table, so a route pays only for the parts it reads.
+    `bounds`, `masks`, `signatures` and `signature_codes` hold what the
+    p >= 3 recognizers read off the rows.  Each is built on its first
+    read and then kept with the table, so a route pays only for the
+    parts it reads.
     """
 
     _fields = ("p", "xs", "ys", "rows")
@@ -317,6 +331,20 @@ class WinnerTable(_FrozenRecord):
         for xi, row in enumerate(self.rows):
             sigs.setdefault(winner_counts(row, self.p), []).append(xi)
         return MappingProxyType({s: tuple(xis) for s, xis in sigs.items()})
+
+    @cached_property
+    def signature_codes(self) -> Mapping[int, tuple[int, ...]]:
+        """`signatures` keyed by one integer per signature instead of a tuple.
+
+        Signature ``(n_0, ..., n_{p-1})`` becomes ``sum(n_a * base**a)``
+        with ``base = len(ys) + 1``.  No count exceeds ``len(ys)``, so
+        distinct signatures get distinct integers.
+        """
+        base = len(self.ys) + 1
+        return MappingProxyType({
+            sum(n * base**a for a, n in enumerate(sig)): xis
+            for sig, xis in self.signatures.items()
+        })
 
 
 @lru_cache(maxsize=_TABLE_CACHE)

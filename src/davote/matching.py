@@ -19,9 +19,16 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate, islice
-from operator import and_, contains, eq, le, or_
+from operator import and_, contains, itemgetter, le, ne, or_
 
-from .core import CandidateSet, Correspondence, Form, Labeling, WinnerTable
+from .core import (
+    CandidateSet,
+    Correspondence,
+    Form,
+    Labeling,
+    WinnerTable,
+    _shared_cells,
+)
 from .results import ACCEPTED, REJECTED, UNDECIDED, RecognitionResult
 
 __all__ = [
@@ -120,12 +127,13 @@ def lookup_columns(cells, rows: list[tuple[CandidateSet, ...]]) -> list[int | No
     Each column takes the last unused strategy that generates exactly
     that column under the fixed rows, or None when none is left.  When
     every column gets one, popping from the end gives what
-    augmenting-path matching returns on these disjoint groups.
+    augmenting-path matching returns on these disjoint groups.  Columns
+    of shared sets (`core._shared_cells`) find their group by identity.
     """
     groups: dict[tuple, list[int]] = {}
     for t, col in enumerate(zip(*rows)):
         groups.setdefault(col, []).append(t)
-    return [groups[col].pop() if groups.get(col) else None for col in zip(*cells)]
+    return [g.pop() if (g := groups.get(col)) else None for col in zip(*cells)]
 
 
 def accept_row_labels(
@@ -144,6 +152,8 @@ def accept_row_labels(
     correspondence) or lie in (for a form) the table's winner set of
     row i's strategy and column j's strategy.  That is the test of
     `labeling_generates`, read from the table instead of recomputed.
+    Correspondence cells are first mapped to the table's shared sets,
+    so the column lookup and the row comparisons hit identity.
     """
     xs, ys, rows = table.xs, table.ys, table.rows
     uses = Counter(assignment)
@@ -156,8 +166,10 @@ def accept_row_labels(
             witness=f"rows {first} and {second} both map to strategy {xs[dup]}",
         )
     labeled = [rows[xi] for xi in assignment]
-    if isinstance(t, Correspondence):
-        match = lookup_columns(t.cells, labeled)
+    is_corr = isinstance(t, Correspondence)
+    if is_corr:
+        cells = _shared_cells(t.cells)
+        match = lookup_columns(cells, labeled)
     else:
         masks = table.masks
         match = match_column_classes(t.cells, [masks[xi] for xi in assignment])
@@ -165,13 +177,19 @@ def accept_row_labels(
         return RecognitionResult(
             REJECTED, method, witness="no perfect matching labels the columns"
         )
-    fits = eq if isinstance(t, Correspondence) else contains
-    for line, row in zip(t.cells, labeled):
+    if is_corr:
+        # p >= 3 gives at least three columns, so itemgetter returns tuples.
+        fails = any(map(ne, map(itemgetter(*match), labeled), cells))
+    else:
         # contains(winners, cell) is ``cell in winners``.
-        if not all(map(fits, map(row.__getitem__, match), line)):
-            return RecognitionResult(
-                REJECTED, method, witness="labeling fails to regenerate the input"
-            )
+        fails = not all(
+            all(map(contains, map(row.__getitem__, match), line))
+            for line, row in zip(t.cells, labeled)
+        )
+    if fails:
+        return RecognitionResult(
+            REJECTED, method, witness="labeling fails to regenerate the input"
+        )
     labeling = Labeling(tuple(xs[xi] for xi in assignment), tuple(ys[m] for m in match))
     return RecognitionResult(ACCEPTED, method, labeling=labeling)
 

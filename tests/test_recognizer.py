@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import random
 from itertools import product
+from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from davote import (
     ACCEPTED,
@@ -21,12 +24,19 @@ from davote import (
     permute_tableau,
     recognize_tableau,
 )
-from davote.core import enumerate_strategies, infer_parameters, labeling_generates, winner_row
+from davote.core import (
+    _SETS,
+    enumerate_strategies,
+    infer_parameters,
+    labeling_generates,
+    winner_row,
+    winner_table,
+)
 from davote import matching, recognizer
 from davote.cli import main
 from davote.oracle import oracle_recognize
 from davote.results import METHODS
-from davote.tableau_io import save_tableau
+from davote.tableau_io import dumps_tableau, loads_tableau, save_tableau
 from conftest import (
     A,
     B,
@@ -228,6 +238,54 @@ class TestCorrespondenceRejectionWitnesses:
         assert res.verdict == REJECTED
         assert res.method == "signature-matching"
         assert res.witness == witness
+
+
+@st.composite
+def p3_correspondences(draw):
+    """A shuffled (p, alpha, beta) correspondence, valid or edited in one place."""
+    p, alpha, beta = draw(st.integers(3, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    h = shuffled(generate_correspondence(p, alpha, beta), draw(st.integers(0, 2**16)))
+    cells = [list(row) for row in h.cells]
+    edit = draw(st.sampled_from(["valid", "cell-moved", "row-copied"]))
+    if edit == "cell-moved":
+        # The row keeps its cells, so its signature still matches.
+        row = cells[draw(st.integers(0, h.rows - 1))]
+        row.insert(draw(st.integers(0, h.cols - 1)), row.pop(draw(st.integers(0, h.cols - 1))))
+    elif edit == "row-copied":
+        cells[draw(st.integers(0, h.rows - 1))] = list(cells[draw(st.integers(0, h.rows - 1))])
+    return p, cells
+
+
+class TestCellIdentity:
+    """Recognition reads cell contents, never which set objects hold them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(p3_correspondences())
+    def test_fresh_shared_and_loaded_cells_agree(self, case):
+        p, cells = case
+        fresh = Correspondence(
+            candidates=p, cells=tuple(tuple(frozenset(list(c)) for c in row) for row in cells)
+        )
+        shared = Correspondence(
+            candidates=p,
+            cells=tuple(tuple(_SETS[sum(1 << a for a in c)] for c in row) for row in cells),
+        )
+        loaded, _ = loads_tableau(dumps_tableau(fresh))
+        assert fresh.cells[0][0] is not shared.cells[0][0]
+        results = [recognize_tableau(t) for t in (fresh, shared, loaded)]
+        views = {(r.verdict, r.method, r.witness, r.labeling) for r in results}
+        assert len(views) == 1
+        if results[0].verdict == ACCEPTED:
+            assert labeling_generates(fresh, results[0].labeling)
+
+        alpha, beta = infer_parameters(len(cells), len(cells[0]), p)
+        table = winner_table(p, *sorted((alpha, beta)))
+        codes, base = table.signature_codes, len(table.ys) + 1
+        assert type(codes) is MappingProxyType
+        assert codes == {
+            sum(n * base**a for a, n in enumerate(sig)): xis
+            for sig, xis in table.signatures.items()
+        }
 
 
 class TestCountColumnMatchings:
