@@ -19,16 +19,9 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate, islice
-from operator import and_, contains, itemgetter, le, ne, or_
+from operator import and_, contains, eq, itemgetter, le, or_
 
-from .core import (
-    CandidateSet,
-    Correspondence,
-    Form,
-    Labeling,
-    WinnerTable,
-    _shared_cells,
-)
+from .core import CandidateSet, Correspondence, Form, Labeling, WinnerTable, _shared_cells
 from .results import ACCEPTED, REJECTED, UNDECIDED, RecognitionResult
 
 __all__ = [
@@ -179,14 +172,12 @@ def accept_row_labels(
         )
     if is_corr:
         # p >= 3 gives at least three columns, so itemgetter returns tuples.
-        fails = any(map(ne, map(itemgetter(*match), labeled), cells))
+        fits = all(map(eq, map(itemgetter(*match), labeled), cells))
     else:
         # contains(winners, cell) is ``cell in winners``.
-        fails = not all(
-            all(map(contains, map(row.__getitem__, match), line))
-            for line, row in zip(t.cells, labeled)
-        )
-    if fails:
+        fits = all(all(map(contains, map(row.__getitem__, match), line))
+                   for line, row in zip(t.cells, labeled))
+    if not fits:
         return RecognitionResult(
             REJECTED, method, witness="labeling fails to regenerate the input"
         )
