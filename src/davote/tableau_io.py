@@ -7,8 +7,7 @@ index-sorted arrays of names, form cells single names).  A plain-text
 alternative holds one row per line with whitespace-separated cells:
 bare names for forms, brace lists like ``{a,b}`` for correspondences.
 Text files carry no candidate list, so names map to indices by first
-appearance in row-major order.  Every correspondence cell is read as the
-shared winner set of `core._SETS`, so equal cells are one object.
+appearance in row-major order.
 
 The n-voter two-candidate tableau is JSON only: `weights` per voter,
 explicit `dims` (each weight + 1) and flat row-major `cells` written as
@@ -23,9 +22,7 @@ count and recognition will reject it, which is the honest answer.
 from __future__ import annotations
 
 import json
-from functools import reduce
 from itertools import chain
-from operator import or_
 from pathlib import Path
 
 from .core import (
@@ -36,7 +33,6 @@ from .core import (
     PlaneLabeling,
     _format_json,
     _Memo,
-    _SETS,
     default_names,
 )
 from .results import RecognitionResult
@@ -152,19 +148,15 @@ def _from_json(data: dict):
             raise ParameterError(f"cell name {name!r} not in the candidates list")
         return idx[name]
 
-    def shared(cell) -> frozenset[int]:
-        # The OR of the names' bits: a repeated name counts once, no name gives 0.
-        return _SETS[reduce(or_, (1 << one(name) for name in cell), 0)]
-
     def members(cell) -> frozenset[int]:
         if not isinstance(cell, list):
             raise ParameterError(f"correspondence cell {cell!r} is not a list of names")
-        return shared(cell)
+        return frozenset(map(one, cell))
 
     if kind == "correspondence":
         if set(map(type, chain.from_iterable(rows))) == {list}:
             # Every cell is a list of names, so its names as a tuple key it.
-            cells = _decode_rows(rows, shared, tuple)
+            cells = _decode_rows(rows, lambda cell: frozenset(map(one, cell)), tuple)
         else:
             cells = tuple([tuple(map(members, row)) for row in rows])
         return Correspondence(candidates=len(names), cells=cells), list(names)

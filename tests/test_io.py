@@ -21,7 +21,7 @@ from davote import (
     loads_tableau,
     save_tableau,
 )
-from davote.core import _SETS, default_names, permute_tableau
+from davote.core import default_names, permute_tableau
 from davote.plurality import recognize_plurality_form
 from davote.recognizer import recognize_tableau
 from davote.special import permute_axes, recognize_n_tableau
@@ -176,23 +176,6 @@ class TestLoadErrors:
 
 def _json(cells, kind="correspondence", **extra) -> str:
     return json.dumps({"kind": kind, "candidates": ["a", "b"], **extra, "cells": cells})
-
-
-class TestSharedCells:
-    """Correspondence cells load as the shared winner sets of `core._SETS`."""
-
-    @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_every_cell_is_the_shared_set(self, fmt):
-        h = permute_tableau(generate_correspondence(3, 2, 3), [5, 0, 1, 2, 3, 4], list(range(10)))
-        t, _ = loads_tableau(dumps_tableau(h, fmt=fmt))
-        # Text names candidates by first appearance, so only JSON keeps the indices.
-        assert fmt == "text" or t == h
-        assert all(cell is _SETS[sum(1 << c for c in cell)] for row in t.cells for cell in row)
-
-    def test_a_repeated_name_counts_once(self):
-        t, _ = loads_tableau(_json([[["a", "a"], ["b", "a"]], [["b"], ["b", "b", "a"]]]))
-        assert t.cells == ((_SETS[1], _SETS[3]), (_SETS[2], _SETS[3]))
-        assert t.cells[0][0] is _SETS[1] and t.cells[1][1] is _SETS[3]
 
 
 class TestFirstDefectInRowMajorOrder:
