@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import string
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import add, eq, is_, itemgetter
@@ -162,15 +162,17 @@ _SETS = _Memo(lambda code: frozenset(c for c in range(code.bit_length()) if code
 
 
 def _shared_cells(cells) -> tuple[tuple[CandidateSet, ...], ...]:
-    """Correspondence `cells` with every set the `_SETS` object equal to it.
+    """Correspondence `cells` as tuple rows of the `_SETS` objects equal to them.
 
-    Each distinct set is looked up once.  When every cell already is
-    its shared object, `cells` comes back as it is.  Shared cells
-    compare with table rows by identity instead of by content.
+    Each distinct set is looked up once.  A set with no shared object
+    keeps its own: no table holds it, so it equals no table cell, and
+    input never adds to `_SETS`.  Shared cells compare with table rows
+    by identity instead of by content.
     """
-    share = _Memo(lambda s: _SETS[sum(1 << c for c in s)]).__getitem__
+    share = _Memo(lambda s: _SETS.get(sum(1 << c for c in s), s)).__getitem__
     if all(map(is_, chain.from_iterable(cells), map(share, chain.from_iterable(cells)))):
-        return cells
+        # tuple() of a tuple row is that row, so tuple rows are not copied.
+        return tuple(map(tuple, cells))
     return tuple([tuple(map(share, row)) for row in cells])
 
 

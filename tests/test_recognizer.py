@@ -26,6 +26,7 @@ from davote import (
 )
 from davote.core import (
     _SETS,
+    _shared_cells,
     enumerate_strategies,
     infer_parameters,
     labeling_generates,
@@ -270,9 +271,10 @@ class TestCellIdentity:
             candidates=p,
             cells=tuple(tuple(_SETS[sum(1 << a for a in c)] for c in row) for row in cells),
         )
+        listed = Correspondence(candidates=p, cells=[list(row) for row in shared.cells])
         loaded, _ = loads_tableau(dumps_tableau(fresh))
         assert fresh.cells[0][0] is not shared.cells[0][0]
-        results = [recognize_tableau(t) for t in (fresh, shared, loaded)]
+        results = [recognize_tableau(t) for t in (fresh, shared, listed, loaded)]
         views = {(r.verdict, r.method, r.witness, r.labeling) for r in results}
         assert len(views) == 1
         if results[0].verdict == ACCEPTED:
@@ -286,6 +288,19 @@ class TestCellIdentity:
             sum(n * base**a for a, n in enumerate(sig)): xis
             for sig, xis in table.signatures.items()
         }
+
+
+    def test_list_rows_of_shared_sets_are_accepted(self):
+        h = generate_correspondence(3, 2, 2)
+        res = recognize_tableau(Correspondence(3, [list(row) for row in h.cells]))
+        assert res.verdict == ACCEPTED
+        assert labeling_generates(h, res.labeling)
+
+    def test_a_set_no_table_holds_stays_out_of_the_shared_sets(self):
+        odd = frozenset({0, 40})
+        cells = _shared_cells([[_SETS[1], odd]])
+        assert cells == ((_SETS[1], odd),) and cells[0][1] is odd
+        assert 1 << 40 | 1 not in _SETS
 
 
 class TestCountColumnMatchings:
