@@ -334,19 +334,30 @@ class WinnerTable(_FrozenRecord):
             sigs.setdefault(winner_counts(row, self.p), []).append(xi)
         return MappingProxyType({s: tuple(xis) for s, xis in sigs.items()})
 
-    @cached_property
-    def signature_codes(self) -> Mapping[int, tuple[int, ...]]:
-        """`signatures` keyed by one integer per signature instead of a tuple.
+    def signature_coder(self) -> Callable[[tuple[CandidateSet, ...]], int]:
+        """A new function from a row of sets to its signature as one integer.
 
-        Signature ``(n_0, ..., n_{p-1})`` becomes ``sum(n_a * base**a)``
-        with ``base = len(ys) + 1``.  No count exceeds ``len(ys)``, so
-        distinct signatures get distinct integers.
+        The integer is the sum over the row's cells of a per-set weight,
+        ``sum(base**a for a in cell)`` with ``base = len(ys) + 1``, so
+        signature ``(n_0, ..., n_{p-1})`` reads ``sum(n_a * base**a)``.
+        No count exceeds ``len(ys)``, so distinct signatures get distinct
+        integers.  Each function keeps its own weights, made on a set's
+        first lookup and keyed by the caller's set objects, so the
+        caller's repeated sets hit by identity.
         """
         base = len(self.ys) + 1
-        return MappingProxyType({
-            sum(n * base**a for a, n in enumerate(sig)): xis
-            for sig, xis in self.signatures.items()
-        })
+        weight = _Memo(lambda s: sum(base**a for a in s)).__getitem__
+        return lambda row: sum(map(weight, row))
+
+    @cached_property
+    def signature_codes(self) -> Mapping[int, tuple[int, ...]]:
+        """`signatures` keyed by `signature_coder` instead of a tuple.
+
+        Rows with one signature share its code, so each key is the code
+        of the first row with that signature.
+        """
+        code, rows = self.signature_coder(), self.rows
+        return MappingProxyType({code(rows[xis[0]]): xis for xis in self.signatures.values()})
 
 
 @lru_cache(maxsize=_TABLE_CACHE)

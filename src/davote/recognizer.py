@@ -23,7 +23,6 @@ from .core import (
     Labeling,
     NoParametersError,
     WinnerTable,
-    _Memo,
     _valid_tableau,
     infer_parameters,
     transpose_tableau,
@@ -72,17 +71,15 @@ def _recognize_two_candidates(
 def _label_signature_rows(h: Correspondence, table: WinnerTable) -> RecognitionResult:
     """Each row's signature must match exactly one strategy of `table`.
 
-    A row's signature is read as one integer, the sum over its cells of
-    ``sum(base**a for a in cell)``: the key of `table.signature_codes`.
-    A set's weight is made when a row first holds it, so a row that
+    A row's signature is read as one integer by a new
+    `table.signature_coder()`, the key of `table.signature_codes`.  A
+    set's weight is made when a row first holds it, so a row that
     matches nothing rejects before later rows are read.
     """
-    base = len(table.ys) + 1
-    weight = _Memo(lambda s: sum(base**a for a in s)).__getitem__
-    codes = table.signature_codes
+    code, codes = table.signature_coder(), table.signature_codes
     assignment: list[int] = []
     for i, row in enumerate(h.cells):
-        hits = codes.get(sum(map(weight, row)), ())
+        hits = codes.get(code(row), ())
         if len(hits) != 1:
             return RecognitionResult(
                 REJECTED,
