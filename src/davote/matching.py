@@ -1,7 +1,8 @@
 """Row and column labeling and the accept step shared by the recognizers.
 
 Form rows are labeled by backtracking over the all-different constraint
-that their winner-count fits define (Régin, AAAI 1994).  A
+that their winner-count fits define (Régin, AAAI 1994); a row's fit is
+one AND of p masks from `core.WinnerTable.count_fits`.  A
 correspondence column is labeled by looking up its content.  Form
 columns are matched to strategies as content classes: columns with
 equal content fit the same strategies, so each class is one vertex with
@@ -18,8 +19,9 @@ index, so results are deterministic for a fixed input.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, islice
-from operator import and_, contains, eq, itemgetter, le, or_
+from functools import reduce
+from itertools import accumulate
+from operator import and_, contains, eq, getitem, itemgetter, or_
 
 from .core import CandidateSet, Correspondence, Form, Labeling, WinnerTable, _shared_cells
 from .results import ACCEPTED, REJECTED, UNDECIDED, RecognitionResult
@@ -68,16 +70,24 @@ def match_column_classes(cells, masks: list[tuple[int, ...]]) -> list[int | None
         fits = list(map(and_, fits, map(m.__getitem__, line)))
     sizes = [len(js) for js in classes.values()]
 
-    held = [0] * len(fits)
-    owner: dict[int, int] = {}
+    held: list[int] = []
+    short: list[int] = []  # the classes the greedy fill leaves short
     free = -1  # every strategy; only bits of some fit are ever taken
-    for c, fit in enumerate(fits):
-        for t in islice(_bits(fit & free), sizes[c]):
-            held[c] |= 1 << t
-            owner[t] = c
-        free &= ~held[c]
+    for c, (fit, size) in enumerate(zip(fits, sizes)):
+        take = fit & free
+        extra = take.bit_count() - size
+        if extra < 0:
+            short.append(c)
+        for _ in range(extra):  # keep the lowest `size` strategies
+            take ^= 1 << (take.bit_length() - 1)
+        held.append(take)
+        free &= ~take
 
-    for c, size in enumerate(sizes):
+    # Only augmenting reads who holds a strategy.  A chain leaves every
+    # class but its first as full as before, so only short classes grow.
+    owner = {t: c for c, h in enumerate(held) for t in _bits(h)} if short else {}
+    for c in short:
+        size = sizes[c]
         while held[c].bit_count() < size:
             # Breadth first over classes; via[e] = (d, bit) when class e
             # was reached from d and would hand strategy `bit` to it.
@@ -109,8 +119,11 @@ def match_column_classes(cells, masks: list[tuple[int, ...]]) -> list[int | None
 
     labels: list[int | None] = [None] * len(cells[0])
     for js, mask in zip(classes.values(), held):
-        for j, t in zip(js, _bits(mask)):
-            labels[j] = t
+        if len(js) > 1:
+            for j, t in zip(js, _bits(mask)):
+                labels[j] = t
+        elif mask:  # a one-column class holds one strategy or none
+            labels[js[0]] = mask.bit_length() - 1
     return labels
 
 
@@ -189,7 +202,9 @@ def accept_counted_rows(g: Form, method: str, table: WinnerTable) -> Recognition
     """Label the rows of form `g` by winner counts, then `accept_row_labels`.
 
     A class of equal rows fits strategy x when its per-candidate counts
-    lie within x's `WinnerTable.bounds`; a class fitting none rejects.
+    lie within x's `WinnerTable.bounds`: its fit is the AND of the p
+    `WinnerTable.count_fits` masks its counts index, so finding it costs
+    p lookups, not a test of every strategy.  A class fitting none rejects.
     If every class fits one strategy (always, where every form has
     distinct rows), its rows take it.  Otherwise a depth-first search
     with an explicit stack gives the rows distinct fitting strategies,
@@ -198,21 +213,22 @@ def accept_counted_rows(g: Form, method: str, table: WinnerTable) -> Recognition
     after `_ROW_NODES` labels.
     """
     p = g.candidates
-    bounds = table.bounds
+    index = table.count_fits
     classes: dict[tuple, list[int]] = {}
     for i, line in enumerate(g.cells):
         classes.setdefault(tuple(line), []).append(i)
     fits = []
     for line, members in classes.items():
-        counts = tuple(map(line.count, range(p)))
-        # Upper bounds first: they rule out most strategies sooner.
-        fit = sum(1 << xi for xi, (lo, hi) in enumerate(bounds)
-                  if all(map(le, counts, hi)) and all(map(le, lo, counts)))
+        counts = list(map(line.count, range(p)))
+        try:
+            fit = reduce(and_, map(getitem, index, counts))
+        except IndexError:  # a count above len(ys), which no bounds hold
+            fit = 0
         if not fit:
             return RecognitionResult(
                 REJECTED,
                 method,
-                witness=f"row {members[0]} winner counts {list(counts)} fit the bounds "
+                witness=f"row {members[0]} winner counts {counts} fit the bounds "
                 "of 0 strategies instead of exactly one",
             )
         fits.append(fit)

@@ -10,7 +10,8 @@ them with the code under test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
+from operator import and_
 
 import pytest
 
@@ -393,6 +394,72 @@ def equality_adjacency(cells, rows) -> list[list[int]]:
     for t, col in enumerate(zip(*rows)):
         groups.setdefault(col, []).append(t)
     return [list(groups.get(col, [])) for col in zip(*cells)]
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def reference_class_matching(cells, masks: list[tuple[int, ...]]) -> list[int | None]:
+    """`davote.matching.match_column_classes` as it was before its per-column trims.
+
+    Same contract and, by design, the same labels: a greedy fill over
+    content classes, then breadth-first augmenting chains for each short
+    class in order.  Tests compare the library's labels with these label
+    for label.
+    """
+    classes: dict[tuple, list[int]] = {}
+    for j, col in enumerate(zip(*cells)):
+        classes.setdefault(col, []).append(j)
+    fits = [-1] * len(classes)
+    for m, line in zip(masks, zip(*classes)):
+        fits = list(map(and_, fits, map(m.__getitem__, line)))
+    sizes = [len(js) for js in classes.values()]
+
+    held = [0] * len(fits)
+    owner: dict[int, int] = {}
+    free = -1
+    for c, fit in enumerate(fits):
+        for t in islice(_bits(fit & free), sizes[c]):
+            held[c] |= 1 << t
+            owner[t] = c
+        free &= ~held[c]
+
+    for c, size in enumerate(sizes):
+        while held[c].bit_count() < size:
+            via: dict[int, tuple[int | None, int]] = {c: (None, 0)}
+            queue, seen = [c], held[c]
+            for d in queue:
+                reach = fits[d] & ~seen
+                if reach & free:
+                    break
+                while reach:
+                    bit = reach & -reach
+                    e = owner[bit.bit_length() - 1]
+                    via[e] = (d, bit)
+                    queue.append(e)
+                    seen |= held[e]
+                    reach &= ~held[e]
+            else:
+                break
+            gain = reach & free & -(reach & free)
+            free ^= gain
+            while d is not None:
+                prev, lose = via[d]
+                held[d] ^= gain | lose
+                owner[gain.bit_length() - 1] = d
+                d, gain = prev, lose
+        if held[c].bit_count() < size:
+            break
+
+    labels: list[int | None] = [None] * len(cells[0])
+    for js, mask in zip(classes.values(), held):
+        for j, t in zip(js, _bits(mask)):
+            labels[j] = t
+    return labels
 
 
 # Two voters, three cards each.  Rows and columns both follow the

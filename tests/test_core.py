@@ -242,6 +242,42 @@ class TestTableIndex:
         table = vars(winner_table(3, 1, 2))
         assert {"bounds", "masks"} <= table.keys() and "signatures" not in table
 
+    @pytest.mark.parametrize(
+        "p,alpha,beta",
+        [(3, 2, 30), (3, 5, 20), (4, 3, 3), (4, 3, 12), (5, 2, 2), (8, 2, 2), (20, 1, 1)],
+    )
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_count_fits_and_the_bounds_agree(self, p, alpha, beta, data):
+        # For counts drawn around each row's bounds, the AND of the p
+        # index masks is the set of rows a scan of every row's bounds finds.
+        table = winner_table(p, alpha, beta)
+        index, bounds, m = table.count_fits, table.bounds, len(table.ys)
+        assert len(index) == p and all(len(line) == m + 1 for line in index)
+        for lo, hi in bounds:
+            counts = [data.draw(st.integers(max(l - 1, 0), min(h + 1, m))) for l, h in zip(lo, hi)]
+            fit = (1 << len(bounds)) - 1
+            for a, n in enumerate(counts):
+                fit &= index[a][n]
+            assert fit == sum(
+                1 << xi
+                for xi, (lo_x, hi_x) in enumerate(bounds)
+                if all(l <= n <= h for l, n, h in zip(lo_x, counts, hi_x))
+            )
+
+    def test_count_fits_is_tuples_built_only_for_forms(self):
+        winner_table.cache_clear()
+        h = generate_correspondence(3, 2, 3)
+        assert recognize_tableau(permute_tableau(h, [5, 0, 1, 2, 3, 4], list(range(h.cols)))).accepted
+        assert "count_fits" not in vars(winner_table(3, 2, 3))
+        g = generate_form(3, 2, 3, "max-index")
+        assert recognize_tableau(permute_tableau(g, [5, 0, 1, 2, 3, 4], list(range(g.cols)))).accepted
+        assert "count_fits" in vars(winner_table(3, 2, 3))
+        index = winner_table(3, 2, 3).count_fits
+        assert type(index) is tuple and all(type(line) is tuple for line in index)
+        with pytest.raises(FrozenInstanceError):
+            winner_table(3, 2, 3).count_fits = ()
+
     def test_bound_is_the_table_bound_and_evictions_keep_results(self):
         bound = winner_table.cache_info().maxsize
         rng = random.Random(5)

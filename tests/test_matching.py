@@ -7,6 +7,8 @@ import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from davote import ACCEPTED, REJECTED, UNDECIDED, generate_correspondence, generate_form, permute_tableau, recognize_tableau
 from davote import matching
@@ -30,6 +32,7 @@ from conftest import (
     equality_adjacency,
     maximum_matching,
     random_resolution,
+    reference_class_matching,
 )
 
 
@@ -271,6 +274,73 @@ class TestMatchColumnClasses:
         _check_labels(cells, rows, labels)
 
 
+@st.composite
+def class_matching_inputs(draw):
+    """Form cells and the row masks of random winner-set rows, for `match_column_classes`.
+
+    Half the inputs take their cells from a hidden bijection of columns
+    to strategies, so a perfect matching exists unless a moved cell
+    breaks it, and the greedy fill alone often misses it; the other half
+    get arbitrary cells.
+    """
+    p, k, n = draw(st.integers(2, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 14))
+    subsets = [frozenset(s) for r in range(1, p + 1) for s in combinations(range(p), r)]
+    rows = draw(st.lists(st.lists(st.sampled_from(subsets), min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    if draw(st.booleans()):
+        hidden = draw(st.permutations(range(n)))
+        cells = [[draw(st.sampled_from(sorted(rows[i][t]))) for t in hidden] for i in range(k)]
+        for _ in range(draw(st.integers(0, 2))):
+            cells[draw(st.integers(0, k - 1))][draw(st.integers(0, n - 1))] = draw(
+                st.integers(0, p - 1))
+    else:
+        cells = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+    return cells, _masks(rows, p)
+
+
+def _greedy_shortfall(cells, masks) -> int:
+    """Columns the greedy fill of `match_column_classes` leaves without a strategy."""
+    classes: dict[tuple, int] = {}
+    for col in zip(*cells):
+        classes[col] = classes.get(col, 0) + 1
+    free = short = 0
+    for col, size in classes.items():
+        fit = ~free
+        for m, v in zip(masks, col):
+            fit &= m[v]
+        take = [t for t in range(fit.bit_length()) if fit >> t & 1][:size]
+        short += size - len(take)
+        free |= sum(1 << t for t in take)
+    return short
+
+
+class TestLabelsEqualTheReference:
+    """`match_column_classes` returns exactly the labels of the untrimmed matcher."""
+
+    @given(class_matching_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_random_masks_and_cells(self, inputs):
+        cells, masks = inputs
+        assert match_column_classes(cells, masks) == reference_class_matching(cells, masks)
+
+    def test_a_form_the_greedy_fill_leaves_short(self):
+        # A shuffled random-tie (3, 1, 40) form under its own row labels:
+        # the greedy fill leaves 17 of 861 columns short, and augmenting
+        # chains complete the matching.
+        table = winner_table(3, 1, 40)
+        rng = random.Random(0)
+        g = random_resolution(3, 1, 40, rng)
+        rp, cp = rng.sample(range(g.rows), g.rows), rng.sample(range(g.cols), g.cols)
+        g = permute_tableau(g, rp, cp)
+        masks = [table.masks[r] for r in rp]
+        assert (g.cols, _greedy_shortfall(g.cells, masks)) == (861, 17)
+        labels = match_column_classes(g.cells, masks)
+        assert labels == reference_class_matching(g.cells, masks)
+        assert sorted(labels) == list(range(861))
+        _check_labels(g.cells, [table.rows[r] for r in rp], labels)
+
+
 class TestAcceptRowLabels:
     @pytest.mark.parametrize(
         "t,matcher",
@@ -357,3 +427,14 @@ class TestAcceptCountedRows:
             "instead of exactly one"
         )
         assert recognize_tableau(g).witness == res.witness
+
+    def test_row_wider_than_the_table_fits_no_strategy(self):
+        # Four columns against the three of the (3, 1, 1) table: a count
+        # of 4 lies above every bound, so the row fits nothing.
+        g = Form(candidates=3, cells=((A, A, A, A), (A, B, C, A)))
+        res = accept_counted_rows(g, "plurality", winner_table(3, 1, 1))
+        assert res.verdict == REJECTED
+        assert res.witness == (
+            "row 0 winner counts [4, 0, 0] fit the bounds of 0 strategies "
+            "instead of exactly one"
+        )

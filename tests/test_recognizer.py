@@ -30,6 +30,7 @@ from davote.core import (
     enumerate_strategies,
     infer_parameters,
     labeling_generates,
+    transpose_tableau,
     winner_row,
     winner_table,
 )
@@ -612,3 +613,41 @@ class TestSpentRowSearchBudget:
         assert main(["recognize", str(path)]) == 2
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == UNDECIDED and out["row_labels"] is None
+
+
+# A third 20 x 20 (4, 3, 3) form from the same kind of hill climb.  Each
+# of its columns fits some strategy by winner counts, and 18 of the 20
+# fit exactly one, so a column-count check alone does not reject it.
+BASELINE_ROWS = """
+21112111301010211313 20122221222230202313 23312311333230300333 20200131002003000013
+20201221222133202322 23333333333331330333 23313311202330303333 30012101000002200303
+22200111001320003332 20022221222231202313 23112111101000301321 22222222222321222222
+23232021101301303333 20000000000000000301 21211111122300303310 23210221022301301311
+21212111031311101310 20310201002300100300 23333311323302300313 11211111111111301111
+"""
+
+
+class TestSpentBudgetOneSideOnly:
+    """The row search spends its budget on this form but not on its transpose."""
+
+    @pytest.fixture
+    def g(self):
+        rows = BASELINE_ROWS.split()
+        return Form(candidates=4, cells=tuple(tuple(map(int, row)) for row in rows))
+
+    def test_the_oracle_rejects_it_in_two_nodes(self, g):
+        assert (g.rows, g.cols, len(set(g.cells))) == (20, 20, 20)
+        report = oracle_recognize(g, max_cells=400)
+        assert not report.is_dav and report.nodes_explored == 2
+
+    def test_the_row_search_spends_its_budget(self, g):
+        res = recognize_tableau(g)
+        assert (res.verdict, res.method) == (UNDECIDED, "row-search")
+        assert res.witness == "row search stopped at its budget of 10000 nodes"
+
+    def test_the_transpose_is_rejected_in_21_nodes(self, g):
+        res = matching.accept_counted_rows(transpose_tableau(g), "row-search", winner_table(4, 3, 3))
+        assert res.verdict == REJECTED
+        assert res.witness == (
+            "no row labeling the bounds allow regenerates the input (21 search nodes)"
+        )
