@@ -300,10 +300,10 @@ class WinnerTable(_FrozenRecord):
     sets.  Every part is a tuple, so a shared table cannot be changed by
     a caller.
 
-    `bounds`, `count_fits`, `masks`, `signatures` and `signature_codes`
-    hold what the p >= 3 recognizers read off the rows.  Each is built
-    on its first read and then kept with the table, so a route pays only
-    for the parts it reads.
+    `count_fits`, `masks`, `signatures` and `signature_codes` hold what
+    the p >= 3 recognizers read off the rows.  Each is built on its
+    first read and then kept with the table, so a route pays only for
+    the parts it reads.
     """
 
     _fields = ("p", "xs", "ys", "rows")
@@ -317,36 +317,25 @@ class WinnerTable(_FrozenRecord):
         return cls(p, xs, ys, tuple([_winner_row(x, cols) for x in xs]))
 
     @cached_property
-    def bounds(self) -> tuple[tuple[Signature, Signature], ...]:
-        """Per row, its `_count_bounds`."""
-        return tuple(_count_bounds(row, self.p) for row in self.rows)
-
-    @cached_property
     def count_fits(self) -> tuple[tuple[int, ...], ...]:
         """Per candidate a and count n in ``0..len(ys)``, the rows whose bounds hold n.
 
         Bit xi of ``count_fits[a][n]`` is set when ``lo[a] <= n <= hi[a]``
-        for ``(lo, hi) = bounds[xi]``.  The rows whose bounds hold the
-        counts ``(n_0, ..., n_{p-1})`` are thus the AND of the p masks
-        ``count_fits[a][n_a]``.
+        for ``(lo, hi) = _count_bounds(rows[xi], p)``.  The rows whose
+        bounds hold the counts ``(n_0, ..., n_{p-1})`` are thus the AND of
+        the p masks ``count_fits[a][n_a]``.
         """
-        p, m, bounds = self.p, len(self.ys), self.bounds
+        p, m = self.p, len(self.ys)
         lines = [[0] * (m + 2) for _ in range(p)]
-        # Setting a row's bit on every count of its bounds costs their
-        # widths; flipping it at both ends and XOR-ing prefixes costs p * m.
-        if sum(h - l + 1 for lo, hi in bounds for l, h in zip(lo, hi)) < p * m:
-            for xi, (lo, hi) in enumerate(bounds):
-                bit = 1 << xi
-                for line, l, h in zip(lines, lo, hi):
-                    for n in range(l, h + 1):
-                        line[n] |= bit
-        else:
-            for xi, (lo, hi) in enumerate(bounds):
-                bit = 1 << xi
-                for line, l, h in zip(lines, lo, hi):
-                    line[l] ^= bit
-                    line[h + 1] ^= bit
-            lines = [list(accumulate(line, xor)) for line in lines]
+        # Flip each row's bit at both ends of its bounds; the prefix XOR
+        # then holds it on exactly the counts in between.
+        for xi, row in enumerate(self.rows):
+            bit = 1 << xi
+            lo, hi = _count_bounds(row, p)
+            for line, l, h in zip(lines, lo, hi):
+                line[l] ^= bit
+                line[h + 1] ^= bit
+        lines = [list(accumulate(line, xor)) for line in lines]
         return tuple(tuple(line[: m + 1]) for line in lines)
 
     @cached_property

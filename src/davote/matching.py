@@ -202,7 +202,7 @@ def accept_counted_rows(g: Form, method: str, table: WinnerTable) -> Recognition
     """Label the rows of form `g` by winner counts, then `accept_row_labels`.
 
     A class of equal rows fits strategy x when its per-candidate counts
-    lie within x's `WinnerTable.bounds`: its fit is the AND of the p
+    lie within x's `core._count_bounds`: its fit is the AND of the p
     `WinnerTable.count_fits` masks its counts index, so finding it costs
     p lookups, not a test of every strategy.  A class fitting none rejects.
     If every class fits one strategy (always, where every form has

@@ -189,13 +189,13 @@ class TestWinnerTable:
 
 
 class TestTableIndex:
-    """The row data a `WinnerTable` keeps: `bounds`, `masks` and `signatures`."""
+    """The row data a `WinnerTable` keeps: `count_fits`, `masks` and `signatures`."""
 
     @pytest.mark.parametrize("p,alpha,beta", [(3, 2, 3), (4, 1, 2), (5, 2, 2), (6, 1, 1)])
     def test_matches_the_table_rows(self, p, alpha, beta):
         table = winner_table(p, alpha, beta)
-        rows, bounds, sigs = table.rows, table.bounds, table.signatures
-        assert bounds == tuple(_count_bounds(row, p) for row in rows)
+        rows, sigs = table.rows, table.signatures
+        bounds = [_count_bounds(row, p) for row in rows]
         for row, (_, hi), m in zip(rows, bounds, table.masks):
             assert hi == winner_counts(row, p)
             assert m == tuple(
@@ -208,18 +208,18 @@ class TestTableIndex:
 
     def test_parts_are_immutable(self):
         table = winner_table(3, 2, 3)
-        bounds, masks, sigs = table.bounds, table.masks, table.signatures
-        assert all(type(part) is tuple for part in (bounds, masks, *bounds, *masks))
+        fits, masks, sigs = table.count_fits, table.masks, table.signatures
+        assert all(type(part) is tuple for part in (fits, masks, *fits, *masks))
         assert all(type(xis) is tuple for xis in sigs.values())
         with pytest.raises(TypeError):
             sigs[(0, 0, 0)] = (0,)
-        for name in ("p", "rows", "bounds", "masks", "signatures"):
+        for name in ("p", "rows", "count_fits", "masks", "signatures"):
             with pytest.raises(FrozenInstanceError):
                 setattr(table, name, ())
 
     def test_second_call_returns_the_same_index(self):
         table = winner_table(3, 2, 3)
-        for name in ("bounds", "masks", "signatures"):
+        for name in ("count_fits", "masks", "signatures"):
             assert getattr(table, name) is getattr(winner_table(3, 2, 3), name)
 
     def test_generation_leaves_both_caches_alone(self):
@@ -229,7 +229,7 @@ class TestTableIndex:
         assert winner_table.cache_info().currsize == 0
         # A table built afterwards holds no row data until one is read.
         table = vars(winner_table(3, 2, 4))
-        assert not {"bounds", "masks", "signatures"} & table.keys()
+        assert not {"count_fits", "masks", "signatures"} & table.keys()
 
     def test_parts_are_built_on_first_read(self):
         winner_table.cache_clear()
@@ -240,7 +240,7 @@ class TestTableIndex:
         g = generate_form(3, 1, 2, "max-index")
         assert recognize_tableau(permute_tableau(g, [2, 0, 1], list(range(g.cols)))).accepted
         table = vars(winner_table(3, 1, 2))
-        assert {"bounds", "masks"} <= table.keys() and "signatures" not in table
+        assert {"count_fits", "masks"} <= table.keys() and "signatures" not in table
 
     @pytest.mark.parametrize(
         "p,alpha,beta",
@@ -252,7 +252,8 @@ class TestTableIndex:
         # For counts drawn around each row's bounds, the AND of the p
         # index masks is the set of rows a scan of every row's bounds finds.
         table = winner_table(p, alpha, beta)
-        index, bounds, m = table.count_fits, table.bounds, len(table.ys)
+        index, m = table.count_fits, len(table.ys)
+        bounds = [_count_bounds(row, p) for row in table.rows]
         assert len(index) == p and all(len(line) == m + 1 for line in index)
         for lo, hi in bounds:
             counts = [data.draw(st.integers(max(l - 1, 0), min(h + 1, m))) for l, h in zip(lo, hi)]
