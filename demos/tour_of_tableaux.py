@@ -17,7 +17,6 @@ from davote.core import (
     generate_correspondence,
     generate_form,
     permute_tableau,
-    row_signature,
 )
 from davote.recognizer import recognize_tableau
 from davote.tableau_io import dumps_tableau
@@ -46,8 +45,9 @@ for g in (g_min, g_max):
 # Row signatures count, per candidate, how many columns it wins in that
 # row.  They are what makes rows identifiable after a shuffle.
 print("row signatures of the correspondence:")
-for i in range(h.rows):
-    print(f"  row {i} labeled {strategies[i]}: {row_signature(h, i)}")
+for i, row in enumerate(h.cells):
+    signature = tuple(sum(a in cell for cell in row) for a in range(h.candidates))
+    print(f"  row {i} labeled {strategies[i]}: {signature}")
 print()
 
 # Scramble rows and columns.  The tableau is the same object up to

@@ -9,7 +9,8 @@ internal error: ...`` line on stderr instead of a traceback).
 Each command handler imports the modules it runs, so a command loads
 only those.  For the same reason ``--max-evals``, ``--count-cap`` and
 ``--max-cells`` parse to None when absent, and the handler puts in the
-default its module defines.
+default its module defines; and a handler reading a file imports its
+route only once the file has loaded.
 """
 
 from __future__ import annotations
@@ -92,10 +93,11 @@ def _cmd_generate_n(args) -> int:
 
 
 def _cmd_recognize(args) -> int:
-    from .recognizer import recognize_tableau
     from .tableau_io import load_tableau
 
     t, names = load_tableau(args.file)
+    from .recognizer import recognize_tableau
+
     return _emit_result(recognize_tableau(t), names, args.output)
 
 
@@ -149,24 +151,26 @@ def _cmd_check_distinct(args) -> int:
 
 def _cmd_plurality_check(args) -> int:
     from .core import Form
-    from .plurality import recognize_plurality_form
     from .tableau_io import load_tableau
 
     t, names = load_tableau(args.file)
     if not isinstance(t, Form):
         raise _UsageError("plurality-check expects a form file")
+    from .plurality import recognize_plurality_form
+
     return _emit_result(recognize_plurality_form(t), names, args.output)
 
 
 def _cmd_oracle(args) -> int:
     from .core import SizeGuardError, _format_json
-    from .oracle import DEFAULT_LABELING_CAP, DEFAULT_MAX_CELLS, oracle_recognize
     from .special import NTableau, n_tableau_as_grid
     from .tableau_io import load_tableau
 
+    t, names = load_tableau(args.file)
+    from .oracle import DEFAULT_LABELING_CAP, DEFAULT_MAX_CELLS, oracle_recognize
+
     cap = DEFAULT_LABELING_CAP if args.count_cap is None else args.count_cap
     max_cells = DEFAULT_MAX_CELLS if args.max_cells is None else args.max_cells
-    t, names = load_tableau(args.file)
     if isinstance(t, NTableau):
         if len(t.weights) != 2:
             raise _UsageError("the oracle handles 2-voter tableaux only")

@@ -42,16 +42,12 @@ __all__ = [
     "TIE_RULES",
     "enumerate_strategies",
     "strategy_count",
-    "argmax_set",
     "winner_row",
     "WinnerTable",
     "winner_table",
     "generate_correspondence",
     "generate_form",
-    "row_signature",
-    "winner_counts",
     "infer_parameters",
-    "labeling_generates",
     "permute_tableau",
     "transpose_tableau",
     "default_names",
@@ -137,12 +133,6 @@ def enumerate_strategies(p: int, weight: int) -> list[Strategy]:
         x[-1] = 0
         x[i] -= 1
         x[i + 1] = tail + 1
-
-
-def argmax_set(z: Strategy) -> CandidateSet:
-    """Set of positions holding the maximum entry of `z`."""
-    top = max(z)
-    return frozenset(i for i, v in enumerate(z) if v == top)
 
 
 class _Memo(dict):
@@ -300,10 +290,10 @@ class WinnerTable(_FrozenRecord):
     sets.  Every part is a tuple, so a shared table cannot be changed by
     a caller.
 
-    `count_fits`, `masks`, `signatures` and `signature_codes` hold what
-    the p >= 3 recognizers read off the rows.  Each is built on its
-    first read and then kept with the table, so a route pays only for
-    the parts it reads.
+    `count_fits`, `masks` and `signature_codes` hold what the p >= 3
+    recognizers read off the rows.  Each is built on its first read and
+    then kept with the table, so a route pays only for the parts it
+    reads.
     """
 
     _fields = ("p", "xs", "ys", "rows")
@@ -343,14 +333,6 @@ class WinnerTable(_FrozenRecord):
         """Per row, its `_candidate_masks`."""
         return tuple(_candidate_masks(row, self.p) for row in self.rows)
 
-    @cached_property
-    def signatures(self) -> Mapping[Signature, tuple[int, ...]]:
-        """Read-only map from a row signature to the indexes of the rows with it."""
-        sigs: dict[Signature, list[int]] = {}
-        for xi, row in enumerate(self.rows):
-            sigs.setdefault(winner_counts(row, self.p), []).append(xi)
-        return MappingProxyType({s: tuple(xis) for s, xis in sigs.items()})
-
     def signature_coder(self) -> Callable[[tuple[CandidateSet, ...]], int]:
         """A new function from a row of sets to its signature as one integer.
 
@@ -368,13 +350,12 @@ class WinnerTable(_FrozenRecord):
 
     @cached_property
     def signature_codes(self) -> Mapping[int, tuple[int, ...]]:
-        """`signatures` keyed by `signature_coder` instead of a tuple.
-
-        Rows with one signature share its code, so each key is the code
-        of the first row with that signature.
-        """
-        code, rows = self.signature_coder(), self.rows
-        return MappingProxyType({code(rows[xis[0]]): xis for xis in self.signatures.values()})
+        """Read-only map from a `signature_coder` code to the indexes of the rows with it."""
+        code = self.signature_coder()
+        groups: dict[int, list[int]] = {}
+        for xi, row in enumerate(self.rows):
+            groups.setdefault(code(row), []).append(xi)
+        return MappingProxyType({c: tuple(xis) for c, xis in groups.items()})
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
@@ -542,28 +523,6 @@ def generate_form(p: int, alpha: int, beta: int, tie_rule: str = "min-index") ->
     return _valid_tableau(Form, candidates=p, cells=cells)
 
 
-def row_signature(h: Correspondence | Form, i: int) -> Signature:
-    """Per-candidate occurrence count along row i of `h`.
-
-    Counts set membership for a correspondence and cell equality for a
-    form, so a form row's counts sum to the row length while a
-    correspondence row's sum exceeds it by the number of tied entries.
-    """
-    return winner_counts(h.cells[i], h.candidates)
-
-
-def winner_counts(cells, p: int) -> Signature:
-    """Per-candidate number of `cells` it wins; cells are winner sets or single winners."""
-    counts = [0] * p
-    for cell, n in Counter(cells).items():
-        if isinstance(cell, frozenset):
-            for a in cell:
-                counts[a] += n
-        else:
-            counts[cell] += n
-    return tuple(counts)
-
-
 def infer_parameters(k: int, l: int, p: int) -> tuple[int, int]:
     """Recover the voter weights (alpha, beta) from a k x l shape.
 
@@ -587,26 +546,6 @@ def infer_parameters(k: int, l: int, p: int) -> tuple[int, int]:
             w += 1
 
     return invert(k, "rows"), invert(l, "columns")
-
-
-def labeling_generates(t: Correspondence | Form, labeling: Labeling) -> bool:
-    """Whether applying `labeling` reproduces `t` exactly.
-
-    Correspondence cells must equal the argmax set of the summed label
-    strategies; form cells must be members of it.
-    """
-    if len(labeling.row_labels) != t.rows or len(labeling.col_labels) != t.cols:
-        return False
-    is_corr = isinstance(t, Correspondence)
-    cols = list(zip(*labeling.col_labels))
-    for row, x in zip(t.cells, labeling.row_labels):
-        ams = _winner_row(x, cols)
-        if is_corr:
-            if any(cell != am for cell, am in zip(row, ams)):
-                return False
-        elif any(cell not in am for cell, am in zip(row, ams)):
-            return False
-    return True
 
 
 def permute_tableau(t, row_perm, col_perm):

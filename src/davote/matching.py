@@ -156,8 +156,8 @@ def accept_row_labels(
     correspondence, by a perfect class matching for a form), and the
     labeling must regenerate `t`: every cell (i, j) must equal (for a
     correspondence) or lie in (for a form) the table's winner set of
-    row i's strategy and column j's strategy.  That is the test of
-    `labeling_generates`, read from the table instead of recomputed.
+    row i's strategy and column j's strategy, read from the table
+    instead of recomputed.
     Correspondence cells are first mapped to the table's shared sets,
     so the column lookup and the row comparisons hit identity.
     """

@@ -5,7 +5,8 @@ are feasible, narrowing each column's strategy domain after each
 placement, and then enumerates the compatible column labelings.  Both
 walks keep explicit stacks, so no call depth grows with the input.
 It is deliberately independent of the polynomial recognizers so the two
-routes can cross-check each other.
+routes can cross-check each other: it builds its own argmax grid and
+counts each row's winners itself, reading nothing the fast paths share.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ from .core import (
     ParameterError,
     SizeGuardError,
     _Record,
-    argmax_set,
     enumerate_strategies,
     infer_parameters,
-    row_signature,
     transpose_tableau,
 )
 
@@ -29,6 +28,11 @@ __all__ = ["OracleReport", "oracle_recognize"]
 
 DEFAULT_LABELING_CAP = 10
 DEFAULT_MAX_CELLS = 64
+
+
+def _argmax(z) -> frozenset[int]:
+    top = max(z)
+    return frozenset(i for i, v in enumerate(z) if v == top)
 
 
 class OracleReport(_Record):
@@ -78,9 +82,7 @@ def oracle_recognize(
     xs = enumerate_strategies(p, alpha)
     ys = enumerate_strategies(p, beta)
     is_corr = isinstance(t, Correspondence)
-    am = [
-        [argmax_set(tuple(a + b for a, b in zip(x, y))) for y in ys] for x in xs
-    ]
+    am = [[_argmax([a + b for a, b in zip(x, y)]) for y in ys] for x in xs]
 
     # One necessary per-row rule, so pruning never loses a labeling: for
     # each candidate a, strategy x's row has `lo` cells a wins alone and
@@ -90,8 +92,8 @@ def oracle_recognize(
     bounds = [[(sum(s == {a} for s in row), sum(a in s for s in row)) for a in range(p)]
               for row in am]
     feasible = []
-    for i in range(k):
-        sig = row_signature(t, i)
+    for row in t.cells:
+        sig = [sum(a in c for c in row) if is_corr else row.count(a) for a in range(p)]
         feasible.append([
             xi for xi, b in enumerate(bounds)
             if all(c == hi if is_corr else lo <= c <= hi for c, (lo, hi) in zip(sig, b))

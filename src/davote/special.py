@@ -72,15 +72,6 @@ class NTableau(_FrozenRecord):
     def dims(self) -> tuple[int, ...]:
         return tuple(w + 1 for w in self.weights)
 
-    def flat_index(self, z: tuple[int, ...]) -> int:
-        idx = 0
-        for t, d in zip(z, self.dims):
-            idx = idx * d + t
-        return idx
-
-    def cell(self, z: tuple[int, ...]):
-        return self.cells[self.flat_index(z)]
-
 
 def _threshold_cells(sigma: int) -> list[CandidateSet]:
     """Per card total 0..sigma on candidate 0, the shared winner set."""
@@ -194,8 +185,6 @@ def n_tableau_as_grid(f: NTableau):
     if len(f.weights) != 2:
         raise ParameterError("only 2-voter tableaux convert to a grid")
     rows, cols = f.dims
-    cells = tuple(
-        tuple(f.cell((i, j)) for j in range(cols)) for i in range(rows)
-    )
+    cells = tuple(tuple(f.cells[i * cols:(i + 1) * cols]) for i in range(rows))
     grid = Correspondence if f.kind == "correspondence" else Form
     return grid(candidates=2, cells=cells)

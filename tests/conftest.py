@@ -9,6 +9,7 @@ them with the code under test.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, product
 from operator import and_
@@ -18,6 +19,8 @@ import pytest
 from davote import (
     Correspondence,
     Form,
+    Labeling,
+    NTableau,
     ParameterError,
     SizeGuardError,
     generate_correspondence,
@@ -27,10 +30,9 @@ from davote.core import (
     Signature,
     Strategy,
     _check_params,
-    argmax_set,
+    _winner_row,
     enumerate_strategies,
     strategy_count,
-    winner_counts,
     winner_row,
     winner_table,
 )
@@ -48,6 +50,71 @@ def corr(p: int, rows) -> Correspondence:
 
 def form(p: int, rows) -> Form:
     return Form(candidates=p, cells=tuple(tuple(row) for row in rows))
+
+
+def argmax_set(z: Strategy) -> CandidateSet:
+    """Set of positions holding the maximum entry of `z`."""
+    top = max(z)
+    return frozenset(i for i, v in enumerate(z) if v == top)
+
+
+def winner_counts(cells, p: int) -> Signature:
+    """Per-candidate number of `cells` it wins; cells are winner sets or single winners.
+
+    For the cells of a tableau row this is the row's signature.
+    """
+    counts = [0] * p
+    for cell, n in Counter(cells).items():
+        if isinstance(cell, frozenset):
+            for a in cell:
+                counts[a] += n
+        else:
+            counts[cell] += n
+    return tuple(counts)
+
+
+def signature_rows(table) -> dict[Signature, tuple[int, ...]]:
+    """Per row signature of a `WinnerTable`, the increasing indexes of its rows with it.
+
+    Signatures follow the order of their first rows.
+    """
+    sigs: dict[Signature, list[int]] = {}
+    for xi, row in enumerate(table.rows):
+        sigs.setdefault(winner_counts(row, table.p), []).append(xi)
+    return {sig: tuple(xis) for sig, xis in sigs.items()}
+
+
+def labeling_generates(t: Correspondence | Form, labeling: Labeling) -> bool:
+    """Whether applying `labeling` reproduces `t` exactly.
+
+    Correspondence cells must equal the argmax set of the summed label
+    strategies; form cells must be members of it.
+    """
+    if len(labeling.row_labels) != t.rows or len(labeling.col_labels) != t.cols:
+        return False
+    is_corr = isinstance(t, Correspondence)
+    cols = list(zip(*labeling.col_labels))
+    for row, x in zip(t.cells, labeling.row_labels):
+        ams = _winner_row(x, cols)
+        if is_corr:
+            if any(cell != am for cell, am in zip(row, ams)):
+                return False
+        elif any(cell not in am for cell, am in zip(row, ams)):
+            return False
+    return True
+
+
+def flat_index(nt: NTableau, z: tuple[int, ...]) -> int:
+    """Position in the row-major `nt.cells` of the cell at index tuple `z`."""
+    idx = 0
+    for t, d in zip(z, nt.dims):
+        idx = idx * d + t
+    return idx
+
+
+def n_cell(nt: NTableau, z: tuple[int, ...]):
+    """The cell of `nt` at index tuple `z`."""
+    return nt.cells[flat_index(nt, z)]
 
 
 def b_set(x, xp) -> frozenset[int]:

@@ -32,7 +32,9 @@ from conftest import (
     b_set,
     corr,
     form,
+    labeling_generates,
     lu_counts,
+    n_cell,
     neighbor_reduction_check,
     random_resolution,
     signature_of_strategy,
@@ -46,7 +48,6 @@ from davote.core import (
     enumerate_strategies,
     generate_correspondence,
     generate_form,
-    labeling_generates,
     permute_tableau,
     strategy_count,
     winner_table,
@@ -84,7 +85,7 @@ def plane(nt, axis, z):
     """Cells of one axis plane, in a fixed traversal order."""
     others = [range(w + 1) for i, w in enumerate(nt.weights) if i != axis]
     return tuple(
-        nt.cell(rest[:axis] + (z,) + rest[axis:]) for rest in product(*others)
+        n_cell(nt, rest[:axis] + (z,) + rest[axis:]) for rest in product(*others)
     )
 
 
@@ -94,7 +95,7 @@ def labels_explain(nt, axis_labels):
     for z in product(*(range(w + 1) for w in nt.weights)):
         total = sum(axis_labels[i][t] for i, t in enumerate(z))
         am = {A} if 2 * total > sigma else {B} if 2 * total < sigma else {A, B}
-        cell = nt.cell(z)
+        cell = n_cell(nt, z)
         if nt.kind == "correspondence":
             if cell != frozenset(am):
                 return False

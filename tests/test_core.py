@@ -26,15 +26,11 @@ from davote.core import (
     CellTypeError,
     WinnerTable,
     _count_bounds,
-    argmax_set,
     default_names,
     enumerate_strategies,
     infer_parameters,
-    labeling_generates,
-    row_signature,
     strategy_count,
     transpose_tableau,
-    winner_counts,
     winner_row,
     winner_table,
 )
@@ -43,10 +39,14 @@ from conftest import (
     A,
     B,
     CapExceededError,
+    argmax_set,
     corr,
     enumerate_all_forms,
     form,
+    labeling_generates,
     signature_of_strategy,
+    signature_rows,
+    winner_counts,
 )
 
 params = st.tuples(st.integers(2, 4), st.integers(1, 5))
@@ -189,12 +189,12 @@ class TestWinnerTable:
 
 
 class TestTableIndex:
-    """The row data a `WinnerTable` keeps: `count_fits`, `masks` and `signatures`."""
+    """The row data a `WinnerTable` keeps: `count_fits`, `masks` and `signature_codes`."""
 
     @pytest.mark.parametrize("p,alpha,beta", [(3, 2, 3), (4, 1, 2), (5, 2, 2), (6, 1, 1)])
     def test_matches_the_table_rows(self, p, alpha, beta):
         table = winner_table(p, alpha, beta)
-        rows, sigs = table.rows, table.signatures
+        rows, sigs = table.rows, signature_rows(table)
         bounds = [_count_bounds(row, p) for row in rows]
         for row, (_, hi), m in zip(rows, bounds, table.masks):
             assert hi == winner_counts(row, p)
@@ -202,24 +202,26 @@ class TestTableIndex:
                 sum(1 << t for t, am in enumerate(row) if v in am) for v in range(p)
             )
         assert sorted(xi for xis in sigs.values() for xi in xis) == list(range(len(rows)))
-        for sig, xis in sigs.items():
-            assert list(xis) == sorted(xis)
-            assert all(winner_counts(rows[xi], p) == sig for xi in xis)
+        # The codes key the same groups, in the same order, by one integer each.
+        base = len(table.ys) + 1
+        assert list(table.signature_codes.items()) == [
+            (sum(n * base**a for a, n in enumerate(sig)), xis) for sig, xis in sigs.items()
+        ]
 
     def test_parts_are_immutable(self):
         table = winner_table(3, 2, 3)
-        fits, masks, sigs = table.count_fits, table.masks, table.signatures
+        fits, masks, codes = table.count_fits, table.masks, table.signature_codes
         assert all(type(part) is tuple for part in (fits, masks, *fits, *masks))
-        assert all(type(xis) is tuple for xis in sigs.values())
+        assert all(type(xis) is tuple for xis in codes.values())
         with pytest.raises(TypeError):
-            sigs[(0, 0, 0)] = (0,)
-        for name in ("p", "rows", "count_fits", "masks", "signatures"):
+            codes[0] = (0,)
+        for name in ("p", "rows", "count_fits", "masks", "signature_codes"):
             with pytest.raises(FrozenInstanceError):
                 setattr(table, name, ())
 
     def test_second_call_returns_the_same_index(self):
         table = winner_table(3, 2, 3)
-        for name in ("count_fits", "masks", "signatures"):
+        for name in ("count_fits", "masks", "signature_codes"):
             assert getattr(table, name) is getattr(winner_table(3, 2, 3), name)
 
     def test_generation_leaves_both_caches_alone(self):
@@ -229,18 +231,18 @@ class TestTableIndex:
         assert winner_table.cache_info().currsize == 0
         # A table built afterwards holds no row data until one is read.
         table = vars(winner_table(3, 2, 4))
-        assert not {"count_fits", "masks", "signatures"} & table.keys()
+        assert not {"count_fits", "masks", "signature_codes"} & table.keys()
 
     def test_parts_are_built_on_first_read(self):
         winner_table.cache_clear()
         h = generate_correspondence(3, 2, 3)
         recognize_tableau(permute_tableau(h, [5, 0, 1, 2, 3, 4], list(range(h.cols))))
         table = vars(winner_table(3, 2, 3))
-        assert "signatures" in table and "masks" not in table
+        assert "signature_codes" in table and "masks" not in table
         g = generate_form(3, 1, 2, "max-index")
         assert recognize_tableau(permute_tableau(g, [2, 0, 1], list(range(g.cols)))).accepted
         table = vars(winner_table(3, 1, 2))
-        assert {"count_fits", "masks"} <= table.keys() and "signatures" not in table
+        assert {"count_fits", "masks"} <= table.keys() and "signature_codes" not in table
 
     @pytest.mark.parametrize(
         "p,alpha,beta",
@@ -383,12 +385,12 @@ class TestSignatures:
         assert signature_of_strategy((1, 1), 2, 2) == (2, 2)
 
     def test_row_signature_of_correspondence(self, corr_2_3_3):
-        assert row_signature(corr_2_3_3, 0) == (4, 1)
-        assert row_signature(corr_2_3_3, 3) == (1, 4)
+        assert winner_counts(corr_2_3_3.cells[0], 2) == (4, 1)
+        assert winner_counts(corr_2_3_3.cells[3], 2) == (1, 4)
 
     def test_row_signature_of_form(self, form_repeated_rows):
-        assert row_signature(form_repeated_rows, 1) == (2, 2)
-        assert row_signature(form_repeated_rows, 2) == (2, 2)
+        assert winner_counts(form_repeated_rows.cells[1], 2) == (2, 2)
+        assert winner_counts(form_repeated_rows.cells[2], 2) == (2, 2)
 
     def test_bad_strategy(self):
         with pytest.raises(ParameterError):
@@ -400,7 +402,7 @@ class TestSignatures:
         p, alpha = pa
         h = generate_correspondence(p, alpha, beta)
         for i, x in enumerate(enumerate_strategies(p, alpha)):
-            assert row_signature(h, i) == signature_of_strategy(x, p, beta)
+            assert winner_counts(h.cells[i], p) == signature_of_strategy(x, p, beta)
 
     @given(params, st.integers(1, 4))
     @settings(max_examples=20, deadline=None)
@@ -411,9 +413,9 @@ class TestSignatures:
         h = generate_correspondence(p, alpha, beta)
         g = generate_form(p, alpha, beta)
         for i in range(h.rows):
-            assert sum(row_signature(g, i)) == h.cols
+            assert sum(winner_counts(g.cells[i], p)) == h.cols
             extra = sum(len(c) - 1 for c in h.cells[i])
-            assert sum(row_signature(h, i)) == h.cols + extra
+            assert sum(winner_counts(h.cells[i], p)) == h.cols + extra
 
 
 class TestInferParameters:

@@ -25,7 +25,7 @@ from davote.core import default_names, permute_tableau
 from davote.plurality import recognize_plurality_form
 from davote.recognizer import recognize_tableau
 from davote.special import permute_axes, recognize_n_tableau
-from conftest import A, B, form
+from conftest import A, B, form, n_cell
 
 
 class TestJsonRoundTrip:
@@ -68,7 +68,7 @@ class TestJsonRoundTrip:
         text = dumps_tableau(generate_n_tableau((1, 1)))
         assert '"ab"' in text
         nt, _ = loads_tableau(text)
-        assert nt.cell((0, 1)) == frozenset({A, B})
+        assert n_cell(nt, (0, 1)) == frozenset({A, B})
 
 
 class TestTextRoundTrip:

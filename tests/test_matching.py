@@ -16,7 +16,6 @@ from davote.core import (
     Correspondence,
     Form,
     _candidate_masks,
-    argmax_set,
     enumerate_strategies,
     winner_row,
     winner_table,
@@ -27,6 +26,7 @@ from conftest import (
     A,
     B,
     C,
+    argmax_set,
     column_adjacency,
     count_perfect_matchings,
     equality_adjacency,

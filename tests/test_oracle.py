@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import inspect
 import random
 import sys
@@ -24,8 +25,8 @@ from davote import (
     oracle_recognize,
     permute_tableau,
 )
-from davote.core import labeling_generates
 from davote.recognizer import recognize_tableau
+import davote.core
 import davote.oracle
 from conftest import (
     A,
@@ -34,6 +35,7 @@ from conftest import (
     corr,
     enumerate_all_forms,
     form,
+    labeling_generates,
     oracle_count_forms,
     random_resolution,
 )
@@ -43,6 +45,24 @@ def test_oracle_builds_its_own_outcome_grid():
     # The oracle cross-checks the polynomial recognizers, so it must not
     # read winner sets from the table they share.
     source = inspect.getsource(davote.oracle)
+    from_core = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "core"
+        for alias in node.names
+    }
+    assert from_core == {
+        "Correspondence",
+        "Form",
+        "Labeling",
+        "NoParametersError",
+        "ParameterError",
+        "SizeGuardError",
+        "_Record",
+        "enumerate_strategies",
+        "infer_parameters",
+        "transpose_tableau",
+    }
     banned = (
         "winner_table",
         "winner_row",
@@ -51,10 +71,20 @@ def test_oracle_builds_its_own_outcome_grid():
         "_count_bounds",
         "signature_of_strategy",
         "accept_counted_rows",
+        "signature_coder",
+        "signature_codes",
+        "count_fits",
+        "_SETS",
+        "_shared_cells",
+        "_winner_row",
+        "accept_row_labels",
     )
     for name in banned:
         assert name not in source
         assert not hasattr(davote.oracle, name)
+    # `core` keeps no reference that only the oracle or the tests read.
+    for name in ("argmax_set", "row_signature", "winner_counts", "labeling_generates"):
+        assert not hasattr(davote.core, name)
 
 
 class TestOracleRecognize:

@@ -13,7 +13,6 @@ from davote import (
     oracle_recognize,
     permute_tableau,
 )
-from davote.core import labeling_generates
 from davote.plurality import (
     ForbiddenWitness,
     _find_m1,
@@ -22,7 +21,7 @@ from davote.plurality import (
     find_forbidden_submatrix,
     recognize_plurality_form,
 )
-from conftest import A, B, C, form
+from conftest import A, B, C, form, labeling_generates
 
 
 def check_witness(g: Form, w: ForbiddenWitness) -> None:

@@ -29,7 +29,6 @@ from davote.core import (
     _shared_cells,
     enumerate_strategies,
     infer_parameters,
-    labeling_generates,
     transpose_tableau,
     winner_row,
     winner_table,
@@ -48,8 +47,10 @@ from conftest import (
     count_perfect_matchings,
     equality_adjacency,
     form,
+    labeling_generates,
     lu_counts,
     random_resolution,
+    signature_rows,
 )
 
 
@@ -287,7 +288,7 @@ class TestCellIdentity:
         assert type(codes) is MappingProxyType
         assert codes == {
             sum(n * base**a for a, n in enumerate(sig)): xis
-            for sig, xis in table.signatures.items()
+            for sig, xis in signature_rows(table).items()
         }
 
 

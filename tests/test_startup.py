@@ -57,23 +57,27 @@ def test_star_import_loads_only_the_documented_modules(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv,want",
+    "argv,want,exit_code",
     [
-        (["generate", "--p", "3", "--alpha", "2", "--beta", "2"], IO),
-        (["generate", "--p", "3", "--alpha", "1", "--beta", "2", "--kind", "form"], IO),
+        (["generate", "--p", "3", "--alpha", "2", "--beta", "2"], IO, 0),
+        (["generate", "--p", "3", "--alpha", "1", "--beta", "2", "--kind", "form"], IO, 0),
         (["check-distinct", "--p", "3", "--alpha", "2", "--beta", "2"],
-         BASE | {"davote.distinctness"}),
-        (["oracle", "corr.json"], IO | {"davote.oracle"}),
+         BASE | {"davote.distinctness"}, 0),
+        (["oracle", "corr.json"], IO | {"davote.oracle"}, 0),
+        # A file that fails to load stops a command before its route loads.
+        (["recognize", "missing.json"], IO, 3),
+        (["plurality-check", "missing.json"], IO, 3),
     ],
-    ids=["generate", "generate-form", "check-distinct", "oracle"],
+    ids=["generate", "generate-form", "check-distinct", "oracle", "recognize-missing",
+         "plurality-check-missing"],
 )
-def test_a_command_loads_only_its_modules(tmp_path, argv, want):
+def test_a_command_loads_only_its_modules(tmp_path, argv, want, exit_code):
     save_tableau(generate_correspondence(3, 1, 2), tmp_path / "corr.json")
     code = (
         "import contextlib, io\n"
         "from davote.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert main({argv!r}) == {exit_code}\n"
     )
     assert loaded(code, tmp_path) == want
 
